@@ -11,7 +11,6 @@
 module Geometry = Rip_net.Geometry
 module Solution = Rip_elmore.Solution
 module Rip = Rip_core.Rip
-module Config = Rip_core.Config
 module Engine = Rip_engine.Engine
 module Job = Rip_engine.Job
 
@@ -67,20 +66,7 @@ let print_trace (report : Rip.report) =
       printf "rescue pass: width %.1f u\n" r.Rip_dp.Power_dp.total_width
   | None -> ()
 
-(* Only the DP options deviate from the defaults; None keeps Job.make's
-   default config so the engine path stays byte-identical when the flag
-   is absent. *)
-let config_of_backend = function
-  | None -> None
-  | Some backend ->
-      Some
-        {
-          Config.default with
-          Config.dp = { Config.default.Config.dp with Config.backend = backend };
-        }
-
-let solve_command paths budget_ps slack trace jobs dp_backend =
-  let config = config_of_backend dp_backend in
+let solve_command paths budget_ps slack trace jobs =
   let loaded = List.map load paths in
   match
     List.find_map (function Error e -> Some e | Ok _ -> None) loaded
@@ -102,7 +88,7 @@ let solve_command paths budget_ps slack trace jobs dp_backend =
                  | Some ps -> ps *. 1e-12
                  | None -> slack *. Rip.tau_min process geometry
                in
-               Job.make ~geometry ?config process net ~budget)
+               Job.make ~geometry process net ~budget)
              nets)
       in
       let outcomes, telemetry = Engine.run_stats ?jobs jobs_array in
@@ -185,28 +171,9 @@ let jobs =
               recommended domain count, capped at the number of net \
               files; a single net solves inline with no worker domain).")
 
-let dp_backend =
-  let backends =
-    [
-      ("reference", Rip_dp.Power_dp.Reference);
-      ("fast", Rip_dp.Power_dp.Fast);
-      ("auto", Rip_dp.Power_dp.Auto);
-    ]
-  in
-  Arg.(
-    value
-    & opt (some (enum backends)) None
-    & info [ "dp-backend" ] ~docv:"BACKEND"
-        ~doc:
-          "Power-DP backend: $(b,reference) (per-state Hashtbl labels), \
-           $(b,fast) (candidate-pruning, flat label arenas; bit-identical \
-           results) or $(b,auto) (fast above the instance-size cutover). \
-           Defaults to the solver config's choice (auto).")
-
 let solve_term =
   Term.(
-    const solve_command $ net_files $ budget_ps $ slack $ trace $ jobs
-    $ dp_backend)
+    const solve_command $ net_files $ budget_ps $ slack $ trace $ jobs)
 
 let solve_cmd =
   Cmd.v

@@ -9,8 +9,8 @@
    Replays a deterministic Netgen workload (a few distinct nets repeated
    many times, as a router re-querying global nets would) against a
    running daemon and reports throughput, latency percentiles, retry and
-   degradation counts, and the server's STATS counter deltas next to its
-   own counts.  With --passes 2 the second pass replays the identical
+   degradation counts, and the server's METRICS counter deltas next to
+   its own counts.  With --passes 2 the second pass replays the identical
    workload against the now-warm cache — the cold-vs-warm throughput
    comparison.
 
@@ -19,9 +19,9 @@
    its shard id, builds the same consistent-hash ring rip_routerd
    would, and routes every net to its owning shard — so a
    multi-endpoint run measures pure aggregate shard throughput while
-   keeping each shard's cache as hot as routed traffic does.  STATS
-   deltas are summed and METRICS histograms merged across endpoints, so
-   the consistency exit-code gate survives the fan-out. *)
+   keeping each shard's cache as hot as routed traffic does.  The
+   endpoints' METRICS are summed series by series (histograms merged),
+   so the consistency exit-code gate survives the fan-out. *)
 
 module Protocol = Rip_service.Protocol
 module Client = Rip_service.Client
@@ -44,11 +44,6 @@ let fetch connect frame ~expect =
   | Error e -> Error e
   | exception Unix.Unix_error (code, _, _) -> Error (Unix.error_message code)
 
-let fetch_stats connect =
-  fetch connect Protocol.Stats ~expect:(function
-    | Protocol.Stats_frame stats -> Ok stats
-    | _ -> Error "unexpected response to STATS")
-
 let fetch_metrics connect =
   fetch connect Protocol.Metrics ~expect:(function
     | Protocol.Metrics_frame body -> Ok body
@@ -59,75 +54,16 @@ let fetch_health connect =
     | Protocol.Health_frame health -> Ok health
     | _ -> Error "unexpected response to HEALTH")
 
-(* A bare counter sample from a Prometheus exposition ("name 5"), 0 when
-   the family is absent — a plain rip_serviced has no router families. *)
-let counter_sample name body =
-  let prefix = name ^ " " in
-  String.split_on_char '\n' body
-  |> List.fold_left
-       (fun acc line ->
-         if String.starts_with ~prefix line then
-           match
-             float_of_string_opt
-               (String.sub line (String.length prefix)
-                  (String.length line - String.length prefix))
-           with
-           | Some v -> acc + int_of_float v
-           | None -> acc
-         else acc)
-       0
+(* Several endpoints' METRICS as one server: series summed by name
+   (delta-of-sums = sum-of-deltas, so the consistency identities
+   survive).  A router's answer already carries its shards' series. *)
+let cluster bodies =
+  List.fold_left
+    (fun acc body -> Obs.Exposition.add acc (Obs.Exposition.parse body))
+    [] bodies
 
-(* Hedged forwards fired by a router between two METRICS fetches, summed
-   across endpoints.  Each one duplicated a request on a second shard. *)
-let hedged_delta ~metrics_before ~metrics_after =
-  let sum bodies =
-    List.fold_left
-      (fun acc body -> acc + counter_sample "rip_router_hedges_total" body)
-      0 bodies
-  in
-  sum metrics_after - sum metrics_before
-
-(* Sum several endpoints' STATS frames into one cluster view: counters
-   and gauges add (delta-of-sums = sum-of-deltas, so the consistency
-   identities survive), percentiles take the worst shard, uptime the
-   oldest. *)
-let sum_stats (stats : Protocol.stats list) =
-  match stats with
-  | [] -> invalid_arg "sum_stats: empty"
-  | first :: rest ->
-      List.fold_left
-        (fun (a : Protocol.stats) (s : Protocol.stats) ->
-          {
-            Protocol.shard_id = "all";
-            uptime_seconds = Float.max a.uptime_seconds s.uptime_seconds;
-            requests = a.requests + s.requests;
-            solved = a.solved + s.solved;
-            errors = a.errors + s.errors;
-            rejected_busy = a.rejected_busy + s.rejected_busy;
-            timeouts = a.timeouts + s.timeouts;
-            degraded = a.degraded + s.degraded;
-            toobig = a.toobig + s.toobig;
-            cache_self_heals = a.cache_self_heals + s.cache_self_heals;
-            cache_hits = a.cache_hits + s.cache_hits;
-            cache_misses = a.cache_misses + s.cache_misses;
-            cache_evictions = a.cache_evictions + s.cache_evictions;
-            cache_replayed = a.cache_replayed + s.cache_replayed;
-            cache_size = a.cache_size + s.cache_size;
-            cache_capacity = a.cache_capacity + s.cache_capacity;
-            queue_wait_seconds = a.queue_wait_seconds +. s.queue_wait_seconds;
-            solve_cpu_seconds = a.solve_cpu_seconds +. s.solve_cpu_seconds;
-            journal_bytes = a.journal_bytes + s.journal_bytes;
-            journal_compactions = a.journal_compactions + s.journal_compactions;
-            in_flight = a.in_flight + s.in_flight;
-            queue_depth = a.queue_depth + s.queue_depth;
-            queue_wait_p50 = Float.max a.queue_wait_p50 s.queue_wait_p50;
-            queue_wait_p95 = Float.max a.queue_wait_p95 s.queue_wait_p95;
-            queue_wait_p99 = Float.max a.queue_wait_p99 s.queue_wait_p99;
-            solve_p50 = Float.max a.solve_p50 s.solve_p50;
-            solve_p95 = Float.max a.solve_p95 s.solve_p95;
-            solve_p99 = Float.max a.solve_p99 s.solve_p99;
-          })
-        first rest
+let series view name =
+  int_of_float (Option.value ~default:0.0 (Obs.Exposition.value view name))
 
 type totals = {
   sent : int;
@@ -177,27 +113,30 @@ let add_totals t (r : Loadgen.result) =
   }
 
 let print_consistency ~before ~after ~hedged (t : totals) =
-  let delta field = field after - field before in
-  let requests_delta = delta (fun s -> s.Protocol.requests) in
-  let hits_delta = delta (fun s -> s.Protocol.cache_hits) in
-  let misses_delta = delta (fun s -> s.Protocol.cache_misses) in
-  let errors_delta = delta (fun s -> s.Protocol.errors) in
-  let busy_delta = delta (fun s -> s.Protocol.rejected_busy) in
-  let solved_delta = delta (fun s -> s.Protocol.solved) in
-  let timeouts_delta = delta (fun s -> s.Protocol.timeouts) in
-  let degraded_delta = delta (fun s -> s.Protocol.degraded) in
+  let delta name = series after name - series before name in
+  (* A router's own DEGRADED answers (shed, or no shard left) reached no
+     shard, so they count as received and as degraded here. *)
+  let local = delta "rip_router_degraded_total" in
+  let requests_delta = delta "rip_requests_total" + local in
+  let hits_delta = delta "rip_cache_hits" in
+  let misses_delta = delta "rip_cache_misses" in
+  let errors_delta = delta "rip_errors_total" in
+  let busy_delta = delta "rip_rejected_busy_total" in
+  let solved_delta = delta "rip_solved_total" in
+  let timeouts_delta = delta "rip_timeouts_total" in
+  let degraded_delta = delta "rip_degraded_total" + local in
   Printf.printf
-    "server STATS deltas: requests %d, solved %d, hits %d, misses %d, \
+    "server deltas      : requests %d, solved %d, hits %d, misses %d, \
      errors %d, busy %d, timeouts %d, degraded %d, evictions %d, \
      self-heals %d, replayed %d\n"
     requests_delta solved_delta hits_delta misses_delta errors_delta
     busy_delta timeouts_delta degraded_delta
-    (delta (fun s -> s.Protocol.cache_evictions))
-    (delta (fun s -> s.Protocol.cache_self_heals))
+    (delta "rip_cache_evictions")
+    (delta "rip_cache_self_heals")
     (* Journal replay pre-warms the cache at boot without counting as a
        hit or a miss, so a nonzero replayed delta leaves the
        [misses = requests - hits] identity below untouched. *)
-    (delta (fun s -> s.Protocol.cache_replayed));
+    (delta "rip_cache_replayed");
   Printf.printf
     "loadgen counts     : requests %d, solved %d, hits %d, degraded %d, \
      timeouts %d, errors %d, busy %d (retries: busy %d, timeout %d, \
@@ -246,58 +185,37 @@ let print_consistency ~before ~after ~hedged (t : totals) =
     consistent
   end
 
-(* The server's view of itself, from the closing STATS frame: the gauge
-   fields and its own histogram percentiles. *)
-let print_server_now (s : Protocol.stats) =
+(* The server's view of itself at the end of the run: admission gauges
+   and its own histogram percentiles since startup. *)
+let print_server_now view =
+  let q name p =
+    match Obs.Exposition.histogram view name with
+    | Some h -> Obs.Histogram.quantile h p *. 1e3
+    | None -> 0.0
+  in
+  let queue = q Metrics.queue_wait_metric
+  and solve = q Metrics.solve_cpu_metric in
   Printf.printf
-    "server now         : uptime %.1f s, in_flight %d, queue_depth %d\n\
+    "server now         : in_flight %d, queue_depth %d\n\
      server percentiles : queue p50/p95/p99 %.3f/%.3f/%.3f ms, solve \
      p50/p95/p99 %.3f/%.3f/%.3f ms (since startup)\n"
-    s.Protocol.uptime_seconds s.Protocol.in_flight s.Protocol.queue_depth
-    (s.Protocol.queue_wait_p50 *. 1e3)
-    (s.Protocol.queue_wait_p95 *. 1e3)
-    (s.Protocol.queue_wait_p99 *. 1e3)
-    (s.Protocol.solve_p50 *. 1e3)
-    (s.Protocol.solve_p95 *. 1e3)
-    (s.Protocol.solve_p99 *. 1e3)
+    (series view "rip_in_flight") (series view "rip_queue_depth")
+    (queue 0.5) (queue 0.95) (queue 0.99) (solve 0.5) (solve 0.95)
+    (solve 0.99)
 
-(* Delta of one server histogram across the run, from two METRICS
-   scrapes.  [diff] raises when the families do not line up (daemon
-   restarted between scrapes); treat that as no data. *)
+(* Delta of one server histogram across the run.  [diff] raises when
+   the families do not line up (daemon restarted between scrapes);
+   treat that as no data. *)
 let histogram_delta ~before ~after name =
   match
-    ( List.assoc_opt name (Obs.parse_histograms before),
-      List.assoc_opt name (Obs.parse_histograms after) )
+    ( Obs.Exposition.histogram before name,
+      Obs.Exposition.histogram after name )
   with
   | Some earlier, Some later -> (
       match Obs.Histogram.diff later earlier with
       | delta -> Some delta
       | exception Invalid_argument _ -> None)
   | _ -> None
-
-(* Per-endpoint histogram deltas, merged into one cluster histogram.
-   [None] as soon as any endpoint lacks the family — a partial merge
-   would silently under-count. *)
-let merged_histogram_delta ~before ~after name =
-  let deltas =
-    List.map2
-      (fun before after -> histogram_delta ~before ~after name)
-      before after
-  in
-  List.fold_left
-    (fun acc delta ->
-      match (acc, delta) with
-      | Some acc, Some delta -> (
-          match Obs.Histogram.merge acc delta with
-          | merged -> Some merged
-          | exception Invalid_argument _ -> None)
-      | None, Some delta -> Some delta
-      | _, None -> acc)
-    None
-    (match deltas with
-    | [] -> []
-    | _ when List.exists Option.is_none deltas -> []
-    | _ -> deltas)
 
 let print_histogram label (d : Obs.Histogram.snapshot) =
   let q p = Obs.Histogram.quantile d p *. 1e3 in
@@ -320,21 +238,20 @@ let print_histogram label (d : Obs.Histogram.snapshot) =
    shard's histogram samples pair with the client latencies of the
    requests routed to it) and therefore also for the merged histogram
    against the pooled client percentiles. *)
-let print_percentile_reconciliation ~metrics_before ~metrics_after
-    (t : totals) passes (runs : Loadgen.multi list) =
+let print_percentile_reconciliation ~before ~after ~hedged (t : totals)
+    passes (runs : Loadgen.multi list) =
   match
-    ( merged_histogram_delta ~before:metrics_before ~after:metrics_after
-        Metrics.queue_wait_metric,
-      merged_histogram_delta ~before:metrics_before ~after:metrics_after
-        Metrics.solve_cpu_metric )
+    ( histogram_delta ~before ~after Metrics.queue_wait_metric,
+      histogram_delta ~before ~after Metrics.solve_cpu_metric )
   with
   | Some queue, Some solve -> (
       print_histogram "server queue wait" queue;
       print_histogram "server solve cpu" solve;
+      (* A hedged forward runs one request on two shards. *)
       let clean =
         t.cached = 0 && t.degraded = 0 && t.timeouts = 0 && t.errors = 0
         && t.busy = 0 && t.transport = 0 && t.retried_busy = 0
-        && t.retried_timeout = 0 && t.retried_transport = 0
+        && t.retried_timeout = 0 && t.retried_transport = 0 && hedged = 0
       in
       match runs with
       | [ run ] when clean && passes = 1 ->
@@ -364,8 +281,8 @@ let print_percentile_reconciliation ~metrics_before ~metrics_after
       | _ ->
           Printf.printf
             "percentiles consistent: skipped (needs one all-fresh pass: no \
-             cache hits, retries, degradation or transport trouble — try \
-             --distinct-nets >= --requests)\n";
+             cache hits, retries, hedges, degradation or transport trouble \
+             — try --distinct-nets >= --requests)\n";
           true)
   | _ ->
       Printf.printf
@@ -491,15 +408,15 @@ let run_load socket_path port host endpoints requests connections
         in
         collect (Array.length results - 1) []
       in
-      match (route, all_endpoints fetch_stats, all_endpoints fetch_metrics)
-      with
-      | Error e, _, _ ->
+      match (route, all_endpoints fetch_metrics) with
+      | Error e, _ ->
           Printf.eprintf "rip_loadgen: cannot build the shard ring: %s\n" e;
           1
-      | _, Error e, _ | _, _, Error e ->
+      | _, Error e ->
           Printf.eprintf "rip_loadgen: cannot reach the daemon: %s\n" e;
           1
-      | Ok route, Ok stats_before, Ok metrics_before ->
+      | Ok route, Ok metrics_before ->
+          let before = cluster metrics_before in
           let runs =
             List.init passes (fun pass ->
                 let label =
@@ -558,36 +475,27 @@ let run_load socket_path port host endpoints requests connections
                 else
                   Printf.sprintf "NO (%d contradicting RESULT answers)"
                     totals.verify_mismatches));
-          let metrics_after = all_endpoints fetch_metrics in
-          let consistent =
-            match all_endpoints fetch_stats with
-            | Error e ->
-                Printf.eprintf "rip_loadgen: cannot fetch closing STATS: %s\n"
-                  e;
-                false
-            | Ok stats_after ->
-                let hedged =
-                  match metrics_after with
-                  | Ok metrics_after ->
-                      hedged_delta ~metrics_before ~metrics_after
-                  | Error _ -> 0
-                in
-                let counters_ok =
-                  print_consistency ~before:(sum_stats stats_before)
-                    ~after:(sum_stats stats_after) ~hedged totals
-                in
-                print_server_now (sum_stats stats_after);
-                counters_ok
-          in
-          let percentiles_ok =
-            match metrics_after with
+          let reconciled_counts =
+            match all_endpoints fetch_metrics with
             | Error e ->
                 Printf.eprintf
                   "rip_loadgen: cannot fetch closing METRICS: %s\n" e;
                 false
             | Ok metrics_after ->
-                print_percentile_reconciliation ~metrics_before ~metrics_after
-                  totals passes runs
+                let after = cluster metrics_after in
+                let hedged =
+                  series after "rip_router_hedges_total"
+                  - series before "rip_router_hedges_total"
+                in
+                let counters_ok =
+                  print_consistency ~before ~after ~hedged totals
+                in
+                print_server_now after;
+                let percentiles_ok =
+                  print_percentile_reconciliation ~before ~after ~hedged
+                    totals passes runs
+                in
+                counters_ok && percentiles_ok
           in
           let reconciled =
             if skip_consistency then begin
@@ -596,7 +504,7 @@ let run_load socket_path port host endpoints requests connections
                  only)\n";
               true
             end
-            else consistent && percentiles_ok
+            else reconciled_counts
           in
           if failures || (not reconciled) || totals.verify_mismatches > 0
           then 1
@@ -631,9 +539,9 @@ let endpoints =
     & info [ "endpoints"; "e" ] ~docv:"SOCKET"
         ~doc:"Talk to several shard daemons directly (repeatable, one Unix \
               socket each).  Requests route by the same consistent-hash \
-              ring rip_routerd uses (shard ids fetched via HEALTH); STATS \
-              deltas are summed and METRICS histograms merged across the \
-              endpoints, keeping the consistency exit gate.")
+              ring rip_routerd uses (shard ids fetched via HEALTH); the \
+              endpoints' METRICS are summed series by series, keeping the \
+              consistency exit gate.")
 
 let requests =
   Arg.(
@@ -717,7 +625,7 @@ let skip_consistency =
   Arg.(
     value & flag
     & info [ "skip-consistency" ]
-        ~doc:"Do not gate the exit code on STATS/percentile reconciliation \
+        ~doc:"Do not gate the exit code on counter/percentile reconciliation \
               — only on transport failures and ERROR answers.  For chaos \
               runs (shards killed mid-run), where counter resets make the \
               identities unverifiable.")

@@ -174,7 +174,7 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
           Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
           (* Restart dead children (after their backoff) until shutdown;
              the router's poller re-admits them to the ring once they
-             answer STATS again. *)
+             answer METRICS again. *)
           let supervisor_thread =
             Thread.create
               (fun () ->
@@ -304,8 +304,9 @@ let poll_interval =
   Arg.(
     value & opt float Rip_router.Router.default_config.poll_interval
     & info [ "poll-interval" ] ~docv:"SECONDS"
-        ~doc:"Pricing / liveness tick: how often shards' STATS feed the \
-              price controllers.")
+        ~doc:"Pricing / liveness tick: how often the router scrapes each \
+              shard's METRICS to feed its price controller and failure \
+              detector.")
 
 let spill_price =
   Arg.(

@@ -4,8 +4,8 @@
      rip_serviced --port 7177 --cache-capacity 1024
      rip_serviced --faults 'seed=7,delay:p=0.3:ms=20,kill:p=0.1'   # chaos
 
-   Speaks the Rip_service.Protocol line protocol (SOLVE/STATS/PING/
-   SHUTDOWN) over a Unix-domain or TCP socket; see the README's "Running
+   Speaks the Rip_service.Protocol line protocol (SOLVE/METRICS/HEALTH/
+   PING/SHUTDOWN) over a Unix-domain or TCP socket; see the README's "Running
    the service" section for the grammar and a socat session.  Runs until
    a SHUTDOWN frame or SIGINT/SIGTERM.
 
@@ -242,7 +242,7 @@ let shard_id =
     value
     & opt string Rip_service.Server.default_config.shard_id
     & info [ "shard-id" ] ~docv:"ID"
-        ~doc:"Shard identity reported in STATS and HEALTH frames — how a \
+        ~doc:"Shard identity reported in HEALTH frames — how a \
               routing front end (rip_routerd) tells shards apart.  A \
               non-empty token over [A-Za-z0-9._-].")
 
@@ -344,9 +344,9 @@ let journal_dir =
         ~doc:"Crash-durable solve journal: every verified cache insert is \
               appended to an fsync-batched log under \
               $(docv)/<shard-id>/ and replayed at the next boot to \
-              pre-warm the cache (the STATS cache_replayed counter).  The \
-              directory is created if missing.  Off by default — the cache \
-              is purely in-memory.")
+              pre-warm the cache (the rip_cache_replayed counter in \
+              METRICS).  The directory is created if missing.  Off by \
+              default — the cache is purely in-memory.")
 
 let main =
   Cmd.v

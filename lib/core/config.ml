@@ -39,7 +39,7 @@ let default =
     max_width = 400.0;
     refine = Rip_refine.Refine.default_config;
     refine_passes = 1;
-    dp = { backend = Rip_dp.Power_dp.Auto; frontier_cap = Some 128 };
+    dp = { backend = Rip_dp.Power_dp.Fast; frontier_cap = Some 128 };
   }
 
 let pp ppf t =

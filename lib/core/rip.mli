@@ -90,12 +90,6 @@ type probe_event =
           iterations when that backend is configured) *)
 (** Everything the pipeline can report through [hooks.probe]. *)
 
-type probe = {
-  dp : (Rip_dp.Power_dp.probe_event -> unit) option;
-  refine : (Rip_refine.Refine.probe_event -> unit) option;
-}
-(** Pre-[Hooks] probe record, kept only for {!solve_callbacks}. *)
-
 val solve :
   ?config:Config.t -> ?hooks:probe_event Hooks.t -> problem ->
   (report, error) result
@@ -123,15 +117,6 @@ val solve :
     ({!Config.dp_options}); every DP pass of one solve shares a single
     label arena, so batch callers amortise allocation by reusing warmed
     capacity across the coarse, final and rescue passes. *)
-
-val solve_callbacks :
-  ?config:Config.t -> ?cancel:(unit -> unit) -> ?probe:probe ->
-  ?phase:(string -> unit -> unit) -> problem ->
-  (report, error) result
-[@@ocaml.deprecated
-  "Use Rip.solve with ?hooks (Hooks.make ?cancel ?probe ?phase ())."]
-(** Pre-[Hooks] calling convention, kept for one release as a thin shim
-    over {!solve}. *)
 
 val tau_min : Rip_tech.Process.t -> Rip_net.Geometry.t -> float
 (** The timing-target anchor, "the minimum delay of the net": the better

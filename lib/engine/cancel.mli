@@ -2,10 +2,11 @@
 
     A token is a single atomic flag shared between the thread that may
     want a solve stopped (a deadline watchdog, a shutdown path) and the
-    worker running it.  The worker side is wired in as a plain
-    [?cancel:(unit -> unit)] hook on {!Rip_dp.Power_dp.solve},
-    {!Rip_refine.Refine.run} and {!Rip_core.Rip.solve} — those libraries
-    never depend on this module; {!hook} adapts a token to the hook shape.
+    worker running it.  The worker side is wired in as the plain
+    [cancel : unit -> unit] field of the {!Rip_numerics.Hooks.t} that
+    {!Rip_dp.Power_dp.run}, {!Rip_refine.Refine.run} and
+    {!Rip_core.Rip.solve} take — those libraries never depend on this
+    module; {!hook} adapts a token to the hook shape.
 
     Polling granularity is one DP candidate column / one REFINE
     iteration, so a fired token stops a pseudo-polynomial label explosion

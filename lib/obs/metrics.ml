@@ -210,6 +210,7 @@ end
 type instrument =
   | I_counter of Counter.t
   | I_gauge of Gauge.t
+  | I_counter_fn of (unit -> float)
   | I_gauge_fn of (unit -> float)
   | I_histogram of Histogram.t
 
@@ -253,6 +254,7 @@ let gauge t ~name ~help =
   register t ~name ~help (I_gauge g);
   g
 
+let counter_fn t ~name ~help f = register t ~name ~help (I_counter_fn f)
 let gauge_fn t ~name ~help f = register t ~name ~help (I_gauge_fn f)
 
 let histogram ?(bounds = Histogram.default_latency_bounds) t ~name ~help =
@@ -297,34 +299,47 @@ let help_escape s =
     s;
   Buffer.contents buffer
 
+type sample =
+  | Counter_sample of float
+  | Gauge_sample of float
+  | Histogram_sample of Histogram.snapshot
+
+(* One family's TYPE line and samples — shared by the registry's own
+   rendering and by re-rendering a parsed (e.g. summed) exposition. *)
+let render_sample buffer name sample =
+  let line fmt = Printf.bprintf buffer (fmt ^^ "\n") in
+  match sample with
+  | Counter_sample v ->
+      line "# TYPE %s counter" name;
+      line "%s %s" name (float_str v)
+  | Gauge_sample v ->
+      line "# TYPE %s gauge" name;
+      line "%s %s" name (float_str v)
+  | Histogram_sample s ->
+      line "# TYPE %s histogram" name;
+      let cumulative = ref 0 in
+      Array.iteri
+        (fun i upper ->
+          cumulative := !cumulative + s.Histogram.counts.(i);
+          line "%s_bucket{le=\"%.17g\"} %d" name upper !cumulative)
+        s.Histogram.upper_bounds;
+      line "%s_bucket{le=\"+Inf\"} %d" name s.Histogram.count;
+      line "%s_sum %.17g" name s.Histogram.sum;
+      line "%s_count %d" name s.Histogram.count
+
+let sample_of = function
+  | I_counter c -> Counter_sample (float_of_int (Counter.value c))
+  | I_gauge g -> Gauge_sample (Gauge.value g)
+  | I_counter_fn f -> Counter_sample (f ())
+  | I_gauge_fn f -> Gauge_sample (f ())
+  | I_histogram h -> Histogram_sample (Histogram.snapshot h)
+
 let render t =
   let buffer = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer (s ^ "\n")) fmt in
   List.iter
     (fun e ->
-      line "# HELP %s %s" e.name (help_escape e.help);
-      match e.instrument with
-      | I_counter c ->
-          line "# TYPE %s counter" e.name;
-          line "%s %d" e.name (Counter.value c)
-      | I_gauge g ->
-          line "# TYPE %s gauge" e.name;
-          line "%s %s" e.name (float_str (Gauge.value g))
-      | I_gauge_fn f ->
-          line "# TYPE %s gauge" e.name;
-          line "%s %s" e.name (float_str (f ()))
-      | I_histogram h ->
-          line "# TYPE %s histogram" e.name;
-          let s = Histogram.snapshot h in
-          let cumulative = ref 0 in
-          Array.iteri
-            (fun i upper ->
-              cumulative := !cumulative + s.Histogram.counts.(i);
-              line "%s_bucket{le=\"%.17g\"} %d" e.name upper !cumulative)
-            s.Histogram.upper_bounds;
-          line "%s_bucket{le=\"+Inf\"} %d" e.name s.Histogram.count;
-          line "%s_sum %.17g" e.name s.Histogram.sum;
-          line "%s_count %d" e.name s.Histogram.count)
+      Printf.bprintf buffer "# HELP %s %s\n" e.name (help_escape e.help);
+      render_sample buffer e.name (sample_of e.instrument))
     (entries t);
   Buffer.contents buffer
 
@@ -468,3 +483,71 @@ let parse_scalars text =
 let scalar text name =
   (* First match wins; an exposition renders each family once. *)
   List.assoc_opt name (parse_scalars text)
+
+(* --- Parsed expositions: one view over several processes ------------------ *)
+
+module Exposition = struct
+  type t = (string * sample) list
+
+  let parse text =
+    let scalars = parse_scalars text and histograms = parse_histograms text in
+    let typed name kind =
+      match kind with
+      | "counter" ->
+          Option.map (fun v -> Counter_sample v) (List.assoc_opt name scalars)
+      | "gauge" ->
+          Option.map (fun v -> Gauge_sample v) (List.assoc_opt name scalars)
+      | "histogram" ->
+          Option.map
+            (fun h -> Histogram_sample h)
+            (List.assoc_opt name histograms)
+      | _ -> None
+    in
+    String.split_on_char '\n' text
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "#"; "TYPE"; name; kind ] ->
+               Option.map (fun s -> (name, s)) (typed name kind)
+           | _ -> None)
+
+  let add a b =
+    let sum name x y =
+      match (x, y) with
+      | Counter_sample x, Counter_sample y -> Counter_sample (x +. y)
+      | Gauge_sample x, Gauge_sample y -> Gauge_sample (x +. y)
+      | Histogram_sample x, Histogram_sample y ->
+          Histogram_sample (Histogram.merge x y)
+      | _ ->
+          invalid_arg (Printf.sprintf "Exposition.add: %S has two types" name)
+    in
+    List.map
+      (fun (name, x) ->
+        match List.assoc_opt name b with
+        | Some y -> (name, sum name x y)
+        | None -> (name, x))
+      a
+    @ List.filter (fun (name, _) -> not (List.mem_assoc name a)) b
+
+  let cumulative e =
+    List.filter
+      (fun (_, s) ->
+        match s with
+        | Counter_sample _ | Histogram_sample _ -> true
+        | Gauge_sample _ -> false)
+      e
+
+  let value e name =
+    match List.assoc_opt name e with
+    | Some (Counter_sample v | Gauge_sample v) -> Some v
+    | Some (Histogram_sample _) | None -> None
+
+  let histogram e name =
+    match List.assoc_opt name e with
+    | Some (Histogram_sample h) -> Some h
+    | Some (Counter_sample _ | Gauge_sample _) | None -> None
+
+  let render e =
+    let buffer = Buffer.create 1024 in
+    List.iter (fun (name, s) -> render_sample buffer name s) e;
+    Buffer.contents buffer
+end

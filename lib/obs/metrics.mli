@@ -88,6 +88,10 @@ val create : unit -> t
 val counter : t -> name:string -> help:string -> Counter.t
 val gauge : t -> name:string -> help:string -> Gauge.t
 
+val counter_fn : t -> name:string -> help:string -> (unit -> float) -> unit
+(** A counter computed at scrape time: a monotone count owned elsewhere
+    (the solve cache's hits, the journal's appends). *)
+
 val gauge_fn : t -> name:string -> help:string -> (unit -> float) -> unit
 (** A gauge computed at scrape time (uptime, queue depth, cache size). *)
 
@@ -122,3 +126,44 @@ val scalar : string -> string -> float option
 
 val registered_names : t -> string list
 (** Registration order; duplicate registration raises. *)
+
+(** {1 Parsed expositions}
+
+    A typed view of an exposition, for consumers that combine several
+    processes' scrapes into one (a router's cluster view, a load
+    generator's endpoint sum) without knowing which series exist. *)
+
+type sample =
+  | Counter_sample of float
+  | Gauge_sample of float
+  | Histogram_sample of Histogram.snapshot
+
+module Exposition : sig
+  type t = (string * sample) list
+  (** Families in exposition order, one entry per name. *)
+
+  val parse : string -> t
+  (** Every family of a {!render}-produced exposition, typed by its
+      [# TYPE] line; families with a missing or malformed sample are
+      dropped. *)
+
+  val add : t -> t -> t
+  (** Name-wise sum: counters and gauges add, histograms
+      {!Histogram.merge}; a name on one side only is kept as it is.
+      Order: [a]'s names, then [b]'s new ones.
+      @raise Invalid_argument when a name has two types or histogram
+      bounds differ. *)
+
+  val cumulative : t -> t
+  (** The counters and histograms: what only grows while a process
+      lives, and what a process restart resets. *)
+
+  val value : t -> string -> float option
+  (** A counter's or gauge's value. *)
+
+  val histogram : t -> string -> Histogram.snapshot option
+
+  val render : t -> string
+  (** [# TYPE] lines and samples in the registry's {!render} format, no
+      [# HELP]; [parse (render e)] gives [e] back. *)
+end

@@ -73,13 +73,3 @@ val run :
     selected).  Both are bit-identity-preserving observers; with
     {!Rip_numerics.Hooks.default} nothing is observed and nothing is
     allocated. *)
-
-val run_callbacks :
-  ?config:config -> ?cancel:(unit -> unit) ->
-  ?probe:(probe_event -> unit) ->
-  Rip_net.Geometry.t -> Rip_tech.Repeater_model.t ->
-  budget:float -> initial:Rip_elmore.Solution.t -> outcome option
-[@@ocaml.deprecated
-  "Use Refine.run with ?hooks (Rip_numerics.Hooks.make ?cancel ?probe ())."]
-(** Pre-[Hooks] calling convention, kept for one release as a thin shim
-    over {!run}. *)

@@ -6,7 +6,7 @@
    of every shard caching a diluted copy of everything.
 
    Admission is price-based rather than a static high-water mark.  A
-   poller thread scrapes each shard's STATS on a fixed tick, feeds the
+   poller thread scrapes each shard's METRICS on a fixed tick, feeds the
    delta to the shard's {!Pricing} controller, and the resulting prices
    drive three-way decisions on the request path:
 
@@ -88,65 +88,6 @@ let default_config =
     spool = None;
   }
 
-(* Counter totals carried across shard incarnations.  A restarted shard
-   reports counters from zero; folding the dead incarnation's last
-   snapshot into this baseline keeps the router's aggregate STATS
-   monotone, which the load generator's delta reconciliation relies
-   on. *)
-type baseline = {
-  mutable b_requests : int;
-  mutable b_solved : int;
-  mutable b_errors : int;
-  mutable b_rejected_busy : int;
-  mutable b_timeouts : int;
-  mutable b_degraded : int;
-  mutable b_toobig : int;
-  mutable b_cache_self_heals : int;
-  mutable b_cache_hits : int;
-  mutable b_cache_misses : int;
-  mutable b_cache_evictions : int;
-  mutable b_cache_replayed : int;
-  mutable b_journal_compactions : int;
-  mutable b_queue_wait_seconds : float;
-  mutable b_solve_cpu_seconds : float;
-}
-
-let zero_baseline () =
-  {
-    b_requests = 0;
-    b_solved = 0;
-    b_errors = 0;
-    b_rejected_busy = 0;
-    b_timeouts = 0;
-    b_degraded = 0;
-    b_toobig = 0;
-    b_cache_self_heals = 0;
-    b_cache_hits = 0;
-    b_cache_misses = 0;
-    b_cache_evictions = 0;
-    b_cache_replayed = 0;
-    b_journal_compactions = 0;
-    b_queue_wait_seconds = 0.0;
-    b_solve_cpu_seconds = 0.0;
-  }
-
-let fold_into_baseline b (s : Protocol.stats) =
-  b.b_requests <- b.b_requests + s.requests;
-  b.b_solved <- b.b_solved + s.solved;
-  b.b_errors <- b.b_errors + s.errors;
-  b.b_rejected_busy <- b.b_rejected_busy + s.rejected_busy;
-  b.b_timeouts <- b.b_timeouts + s.timeouts;
-  b.b_degraded <- b.b_degraded + s.degraded;
-  b.b_toobig <- b.b_toobig + s.toobig;
-  b.b_cache_self_heals <- b.b_cache_self_heals + s.cache_self_heals;
-  b.b_cache_hits <- b.b_cache_hits + s.cache_hits;
-  b.b_cache_misses <- b.b_cache_misses + s.cache_misses;
-  b.b_cache_evictions <- b.b_cache_evictions + s.cache_evictions;
-  b.b_cache_replayed <- b.b_cache_replayed + s.cache_replayed;
-  b.b_journal_compactions <- b.b_journal_compactions + s.journal_compactions;
-  b.b_queue_wait_seconds <- b.b_queue_wait_seconds +. s.queue_wait_seconds;
-  b.b_solve_cpu_seconds <- b.b_solve_cpu_seconds +. s.solve_cpu_seconds
-
 (* The circuit breaker shadows the poller's failure detector on a much
    faster clock: the poller needs [down_after] ticks to mark a shard
    down, but [breaker_threshold] consecutive transport failures on the
@@ -157,18 +98,22 @@ let fold_into_baseline b (s : Protocol.stats) =
    failure re-opens. *)
 type breaker_state = Breaker_closed | Breaker_open | Breaker_half_open
 
+(* One METRICS answer of a shard.  The poller reads only its scalars;
+   the whole body is parsed when the cluster view needs it. *)
+type scrape = { body : string; scalars : (string * float) list }
+
 type shard = {
   spec : shard_spec;
   pool : Client.Pool.t;
   pricing : Pricing.t;
   inst : Router_metrics.shard_instruments;
-  baseline : baseline;
   (* The remaining fields are guarded by the router mutex. *)
   mutable up : bool;
   mutable missed_polls : int;
   mutable down_polls : int;
   mutable in_ring : bool;
-  mutable last_stats : Protocol.stats option;
+  mutable last_scrape : scrape option;
+      (* this incarnation's latest METRICS; None after a restart *)
   mutable last_poll_at : float;  (* monotonic; 0 before the first poll *)
   mutable queue_bound : int;  (* the shard's --queue-depth (HEALTH) *)
   mutable high_water : int;  (* the shard's --high-water (HEALTH) *)
@@ -184,6 +129,10 @@ type t = {
   mutex : Mutex.t;  (* ring + shard state + lifecycle *)
   seq : int Atomic.t;  (* minted-trace sequence at ingress *)
   mutable ring : Ring.t;
+  mutable carried : Obs.Exposition.t;
+      (* counters and histograms of dead shard incarnations: a restarted
+         shard counts from zero, and adding these keeps the cluster view
+         monotone, which delta reconciliation relies on *)
   mutable in_flight : int;
   mutable stopping : bool;
   mutable listener : Unix.file_descr option;
@@ -228,12 +177,11 @@ let create ?(config = default_config) ~shards process =
                    Client.connect_unix socket);
              pricing = Pricing.create ~config:config.pricing ();
              inst = Router_metrics.shard metrics spec.id;
-             baseline = zero_baseline ();
              up = true;
              missed_polls = 0;
              down_polls = 0;
              in_ring = true;
-             last_stats = None;
+             last_scrape = None;
              last_poll_at = 0.0;
              queue_bound = 64;
              high_water = 48;
@@ -250,6 +198,7 @@ let create ?(config = default_config) ~shards process =
     mutex = Mutex.create ();
     seq = Atomic.make 0;
     ring;
+    carried = [];
     in_flight = 0;
     stopping = false;
     listener = None;
@@ -334,7 +283,10 @@ let note_forward_error t shard =
     Obs.Counter.incr shard.inst.breaker_opens
   end
 
-let on_stats t shard now (stats : Protocol.stats) =
+let series scrape name =
+  Option.value ~default:0.0 (List.assoc_opt name scrape.scalars)
+
+let on_scrape t shard now scrape =
   let was_down =
     Mutex.lock t.mutex;
     let d = not shard.up in
@@ -359,25 +311,24 @@ let on_stats t shard now (stats : Protocol.stats) =
         true
     | _ -> false
   in
-  (* Restart detection: counters went backwards (or uptime did) — fold
-     the dead incarnation's final snapshot into the baseline so the
-     aggregate stays monotone, and delta from zero. *)
-  (match shard.last_stats with
+  (* Restart detection: uptime or the request count went backwards —
+     carry the dead incarnation's last counts so the cluster view stays
+     monotone, and delta from zero. *)
+  (match shard.last_scrape with
   | Some prev
-    when stats.Protocol.uptime_seconds < prev.Protocol.uptime_seconds
-         || stats.Protocol.requests < prev.Protocol.requests ->
-      fold_into_baseline shard.baseline prev;
-      shard.last_stats <- None
+    when series scrape "rip_uptime_seconds" < series prev "rip_uptime_seconds"
+         || series scrape "rip_requests_total"
+            < series prev "rip_requests_total" ->
+      t.carried <-
+        Obs.Exposition.(add t.carried (cumulative (parse prev.body)));
+      shard.last_scrape <- None
   | _ -> ());
   let observation =
-    let prev_solved, prev_degraded, prev_timeouts, prev_busy =
-      match shard.last_stats with
-      | Some p ->
-          ( p.Protocol.solved,
-            p.Protocol.degraded,
-            p.Protocol.timeouts,
-            p.Protocol.rejected_busy )
-      | None -> (0, 0, 0, 0)
+    let delta name =
+      let prev =
+        match shard.last_scrape with Some p -> series p name | None -> 0.0
+      in
+      int_of_float (series scrape name -. prev)
     in
     let seconds =
       if shard.last_poll_at > 0.0 then now -. shard.last_poll_at
@@ -385,15 +336,15 @@ let on_stats t shard now (stats : Protocol.stats) =
     in
     {
       Pricing.seconds;
-      completed = stats.Protocol.solved - prev_solved;
-      degraded = stats.Protocol.degraded - prev_degraded;
-      timeouts = stats.Protocol.timeouts - prev_timeouts;
-      busy = stats.Protocol.rejected_busy - prev_busy;
-      in_flight = stats.Protocol.in_flight;
+      completed = delta "rip_solved_total";
+      degraded = delta "rip_degraded_total";
+      timeouts = delta "rip_timeouts_total";
+      busy = delta "rip_rejected_busy_total";
+      in_flight = int_of_float (series scrape "rip_in_flight");
       queue_depth = shard.queue_bound;
     }
   in
-  shard.last_stats <- Some stats;
+  shard.last_scrape <- Some scrape;
   shard.last_poll_at <- now;
   let price = Pricing.observe shard.pricing observation in
   Mutex.unlock t.mutex;
@@ -427,11 +378,17 @@ let on_poll_failure t shard =
   if went_down then Obs.Gauge.set shard.inst.up 0.0;
   if removed then Obs.Counter.incr t.metrics.rebalances
 
+let scrape shard =
+  match Client.Pool.request shard.pool Protocol.Metrics with
+  | Ok (Protocol.Metrics_frame body) ->
+      Some { body; scalars = Obs.parse_scalars body }
+  | Ok _ | Error _ -> None
+
 let poll_shard t shard =
   let now = Cpu_clock.monotonic_seconds () in
-  match Client.Pool.request shard.pool Protocol.Stats with
-  | Ok (Protocol.Stats_frame stats) -> on_stats t shard now stats
-  | Ok _ | Error _ -> on_poll_failure t shard
+  match scrape shard with
+  | Some scrape -> on_scrape t shard now scrape
+  | None -> on_poll_failure t shard
 
 let rec poll_loop t =
   if not (stopping t) then begin
@@ -490,8 +447,8 @@ type routing =
    requires the shard's last-reported in-flight count to have reached
    its high-water mark. *)
 let floor_reached shard =
-  match shard.last_stats with
-  | Some s -> s.Protocol.in_flight >= shard.high_water
+  match shard.last_scrape with
+  | Some s -> int_of_float (series s "rip_in_flight") >= shard.high_water
   | None -> false
 
 let route t key =
@@ -823,103 +780,36 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
 
 (* --- Aggregated views ------------------------------------------------------ *)
 
-(* The cluster's STATS, as if it were one server: counters are the sum
-   of every shard's live counters, each shard's retired-incarnation
-   baseline, and the answers the router produced itself; percentiles
-   are the worst (max) across shards — a conservative bound a client's
-   own percentile must still dominate; uptime is the router's own. *)
-let aggregate_stats t =
+(* The METRICS answer: the router's own series, then the cluster view —
+   every series the shards expose, under its own name, summed over each
+   shard's live scrape (its last one when it does not answer) plus the
+   counts carried from dead incarnations.  Answers the router produced
+   itself reached no shard; they are in rip_router_degraded_total. *)
+let render_metrics t =
   let live =
     Array.map
       (fun shard ->
-        match Client.Pool.request shard.pool Protocol.Stats with
-        | Ok (Protocol.Stats_frame s) -> Some s
-        | Ok _ | Error _ ->
+        match scrape shard with
+        | Some s -> Some s
+        | None ->
             Mutex.lock t.mutex;
-            let cached = shard.last_stats in
+            let last = shard.last_scrape in
             Mutex.unlock t.mutex;
-            cached)
+            last)
       t.shards
   in
-  let sum_i f =
-    Array.fold_left (fun acc s -> acc + match s with Some s -> f s | None -> 0) 0 live
-  in
-  let sum_f f =
-    Array.fold_left
-      (fun acc s -> acc +. match s with Some s -> f s | None -> 0.0)
-      0.0 live
-  in
-  let max_f f =
-    Array.fold_left
-      (fun acc s -> Float.max acc (match s with Some s -> f s | None -> 0.0))
-      0.0 live
-  in
-  let base f = Array.fold_left (fun acc s -> acc + f s.baseline) 0 t.shards in
-  let base_f f =
-    Array.fold_left (fun acc s -> acc +. f s.baseline) 0.0 t.shards
-  in
-  let local_degraded = Obs.Counter.value t.metrics.local_degraded in
-  (* The whole snapshot is taken under the lock: the poller folds dead
-     incarnations into [shard.baseline] concurrently, and a torn read
-     would break the accounting identity below. *)
   Mutex.lock t.mutex;
-  let in_flight = t.in_flight in
-  let stats =
-  {
-    Protocol.shard_id = "router";
-    uptime_seconds = Router_metrics.uptime_seconds t.metrics;
-    (* Requests the router shed never reached a shard; adding the
-       locally-degraded count on both sides keeps the accounting
-       identity requests = solved + errors + busy + timeouts + degraded
-       + toobig across the aggregate. *)
-    requests = sum_i (fun s -> s.Protocol.requests) + base (fun b -> b.b_requests) + local_degraded;
-    solved = sum_i (fun s -> s.Protocol.solved) + base (fun b -> b.b_solved);
-    errors = sum_i (fun s -> s.Protocol.errors) + base (fun b -> b.b_errors);
-    rejected_busy =
-      sum_i (fun s -> s.Protocol.rejected_busy) + base (fun b -> b.b_rejected_busy);
-    timeouts = sum_i (fun s -> s.Protocol.timeouts) + base (fun b -> b.b_timeouts);
-    degraded =
-      sum_i (fun s -> s.Protocol.degraded) + base (fun b -> b.b_degraded)
-      + local_degraded;
-    toobig = sum_i (fun s -> s.Protocol.toobig) + base (fun b -> b.b_toobig);
-    cache_self_heals =
-      sum_i (fun s -> s.Protocol.cache_self_heals)
-      + base (fun b -> b.b_cache_self_heals);
-    cache_hits =
-      sum_i (fun s -> s.Protocol.cache_hits) + base (fun b -> b.b_cache_hits);
-    cache_misses =
-      sum_i (fun s -> s.Protocol.cache_misses) + base (fun b -> b.b_cache_misses);
-    cache_evictions =
-      sum_i (fun s -> s.Protocol.cache_evictions)
-      + base (fun b -> b.b_cache_evictions);
-    cache_replayed =
-      sum_i (fun s -> s.Protocol.cache_replayed)
-      + base (fun b -> b.b_cache_replayed);
-    cache_size = sum_i (fun s -> s.Protocol.cache_size);
-    cache_capacity = sum_i (fun s -> s.Protocol.cache_capacity);
-    queue_wait_seconds =
-      sum_f (fun s -> s.Protocol.queue_wait_seconds)
-      +. base_f (fun b -> b.b_queue_wait_seconds);
-    solve_cpu_seconds =
-      sum_f (fun s -> s.Protocol.solve_cpu_seconds)
-      +. base_f (fun b -> b.b_solve_cpu_seconds);
-    (* A gauge, like cache_size: live bytes only, no baseline. *)
-    journal_bytes = sum_i (fun s -> s.Protocol.journal_bytes);
-    journal_compactions =
-      sum_i (fun s -> s.Protocol.journal_compactions)
-      + base (fun b -> b.b_journal_compactions);
-    in_flight;
-    queue_depth = sum_i (fun s -> s.Protocol.queue_depth);
-    queue_wait_p50 = max_f (fun s -> s.Protocol.queue_wait_p50);
-    queue_wait_p95 = max_f (fun s -> s.Protocol.queue_wait_p95);
-    queue_wait_p99 = max_f (fun s -> s.Protocol.queue_wait_p99);
-    solve_p50 = max_f (fun s -> s.Protocol.solve_p50);
-    solve_p95 = max_f (fun s -> s.Protocol.solve_p95);
-    solve_p99 = max_f (fun s -> s.Protocol.solve_p99);
-  }
-  in
+  let carried = t.carried in
   Mutex.unlock t.mutex;
-  stats
+  let cluster =
+    Array.fold_left
+      (fun acc -> function
+        | Some s -> Obs.Exposition.(add acc (parse s.body))
+        | None -> acc)
+      [] live
+  in
+  Router_metrics.render t.metrics
+  ^ Obs.Exposition.render (Obs.Exposition.add cluster carried)
 
 let health t =
   Mutex.lock t.mutex;
@@ -970,11 +860,8 @@ let handle_connection t fd =
     | Ok (Some Protocol.Ping) ->
         send Protocol.Pong;
         serve ()
-    | Ok (Some Protocol.Stats) ->
-        send (Protocol.Stats_frame (aggregate_stats t));
-        serve ()
     | Ok (Some Protocol.Metrics) ->
-        send (Protocol.Metrics_frame (Router_metrics.render t.metrics));
+        send (Protocol.Metrics_frame (render_metrics t));
         serve ()
     | Ok (Some Protocol.Health) ->
         send (Protocol.Health_frame (health t));

@@ -4,13 +4,19 @@
     Requests route by consistent-hashing the net's canonical digest
     ({!Rip_net.Net.canonical_digest}) over a weighted {!Ring}, keeping
     each shard's solve cache hot for its own key range.  Admission is
-    price-based: a poller feeds each shard's STATS deltas to a
-    {!Pricing} controller, and the request path forwards to the primary
+    price-based: a poller scrapes each shard's METRICS and feeds the
+    deltas to a {!Pricing} controller, and the request path forwards to the primary
     while its price is below [spill_price], spills to the key's second
     choice when that one is cheaper, and answers DEGRADED (overload)
     from the router's own analytic fallback tier once every candidate
     has priced past [shed_price].  With a single shard, the shard's
     static high-water mark remains the shed floor.
+
+    The router's METRICS answer is its own [rip_router_*] registry
+    followed by the cluster view: every series its shards expose, under
+    the shard's own name, summed over the shards (histograms merged).  A
+    restarted shard's dead incarnation keeps counting in it, so the view
+    never goes backwards.
 
     The poller doubles as the failure detector: a shard missing
     [down_after] polls stops receiving traffic, after [remove_after]
@@ -96,13 +102,6 @@ val request_shutdown : t -> unit
 val stopping : t -> bool
 val metrics : t -> Router_metrics.t
 val shard_count : t -> int
-
-val aggregate_stats : t -> Rip_service.Protocol.stats
-(** The cluster as one server: counters sum live shards, their
-    retired-incarnation baselines and the router's own local answers
-    (keeping [requests = solved + errors + busy + timeouts + degraded +
-    toobig]); percentiles are the max across shards; uptime is the
-    router's own. *)
 
 val health : t -> Rip_service.Protocol.health
 (** [shard_id = "router"]; queue/high-water are sums of shard bounds. *)

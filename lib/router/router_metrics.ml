@@ -27,7 +27,6 @@ type shard_instruments = {
 
 type t = {
   registry : Obs.t;
-  started : float;
   requests : Obs.Counter.t;
   shed : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
@@ -116,7 +115,6 @@ let create ~shard_ids () =
   List.iter (fun (_, i) -> Obs.Gauge.set i.up 1.0) shards;
   {
     registry;
-    started;
     requests;
     shed;
     local_degraded;
@@ -131,4 +129,3 @@ let create ~shard_ids () =
 let shard t id = List.assoc id t.shards
 let render t = Obs.render t.registry
 let registry t = t.registry
-let uptime_seconds t = Cpu_clock.monotonic_seconds () -. t.started

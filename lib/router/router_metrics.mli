@@ -19,7 +19,6 @@ type shard_instruments = {
 
 type t = {
   registry : Obs.t;
-  started : float;
   requests : Obs.Counter.t;
   shed : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
@@ -41,4 +40,3 @@ val shard : t -> string -> shard_instruments
 
 val render : t -> string
 val registry : t -> Obs.t
-val uptime_seconds : t -> float

@@ -3,7 +3,7 @@
 
    The supervisor is deliberately dumb — it owns pids and sockets,
    nothing else.  Liveness of the *service* (is the shard answering
-   STATS?) is the router's poller's business; [alive] only answers "has
+   METRICS?) is the router's poller's business; [alive] only answers "has
    the OS process exited", via a non-blocking [waitpid] that also reaps
    the zombie.  Keeping the two notions separate matters for the
    degrade path: a wedged-but-running shard must be routed around even

@@ -2,7 +2,7 @@
     sockets, detect exits, and respawn after a backoff.
 
     Owns only pids and socket paths.  Service-level liveness (does the
-    shard answer STATS?) is the router poller's concern — a wedged
+    shard answer METRICS?) is the router poller's concern — a wedged
     process is [alive] here yet still gets routed around, and a fresh
     respawn stays out of the ring until it answers PING
     ({!wait_ready}). *)

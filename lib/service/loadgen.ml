@@ -167,8 +167,7 @@ let record shared frame latency (outcome : Client.outcome) =
   | Ok (Protocol.Error_frame _) -> shared.errors <- shared.errors + 1
   | Ok
       ( Protocol.Pong | Protocol.Bye | Protocol.Toobig
-      | Protocol.Stats_frame _ | Protocol.Metrics_frame _
-      | Protocol.Health_frame _ ) ->
+      | Protocol.Metrics_frame _ | Protocol.Health_frame _ ) ->
       (* Not a SOLVE answer; treat an off-protocol reply as an error. *)
       shared.errors <- shared.errors + 1
   | Error _ -> shared.transport_failures <- shared.transport_failures + 1);

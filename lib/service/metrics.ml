@@ -3,7 +3,6 @@ module Cpu_clock = Rip_numerics.Cpu_clock
 
 type t = {
   registry : Obs.t;
-  started : float;  (* monotonic; uptime survives wall-clock steps *)
   requests : Obs.Counter.t;
   solved : Obs.Counter.t;
   errors : Obs.Counter.t;
@@ -34,7 +33,6 @@ let create ?cache_stats ?journal_stats () =
   let t =
     {
       registry;
-      started;
       requests = counter "rip_requests_total" "SOLVE requests received";
       solved = counter "rip_solved_total" "SOLVE requests answered RESULT";
       errors = counter "rip_errors_total" "SOLVE requests answered ERROR";
@@ -69,49 +67,50 @@ let create ?cache_stats ?journal_stats () =
           "Newton steps in the KKT width solver";
     }
   in
+  (* Scrape-time reads of counts the cache and journal own: monotone
+     ones are counters (a cluster view carries them across a shard
+     restart), the rest gauges. *)
+  let expose stats register name help read =
+    register registry ~name ~help (fun () -> float_of_int (read (stats ())))
+  in
   (match cache_stats with
   | None -> ()
   | Some stats ->
-      let cache_gauge name help read =
-        Obs.gauge_fn registry ~name ~help (fun () ->
-            float_of_int (read (stats ())))
-      in
-      cache_gauge "rip_cache_hits" "solve cache hits" (fun s ->
-          s.Solve_cache.hits);
-      cache_gauge "rip_cache_misses" "solve cache misses" (fun s ->
+      let counter = expose stats Obs.counter_fn
+      and gauge = expose stats Obs.gauge_fn in
+      counter "rip_cache_hits" "solve cache hits" (fun s -> s.Solve_cache.hits);
+      counter "rip_cache_misses" "solve cache misses" (fun s ->
           s.Solve_cache.misses);
-      cache_gauge "rip_cache_evictions" "solve cache LRU evictions" (fun s ->
+      counter "rip_cache_evictions" "solve cache LRU evictions" (fun s ->
           s.Solve_cache.evictions);
-      cache_gauge "rip_cache_self_heals"
+      counter "rip_cache_self_heals"
         "cache entries dropped on digest mismatch" (fun s ->
           s.Solve_cache.self_heals);
-      cache_gauge "rip_cache_replayed"
+      counter "rip_cache_replayed"
         "cache entries admitted from journal replay at boot" (fun s ->
           s.Solve_cache.replayed);
-      cache_gauge "rip_cache_size" "solve cache entries" (fun s ->
+      gauge "rip_cache_size" "solve cache entries" (fun s ->
           s.Solve_cache.size));
   (match journal_stats with
   | None -> ()
   | Some stats ->
-      let journal_gauge name help read =
-        Obs.gauge_fn registry ~name ~help (fun () ->
-            float_of_int (read (stats ())))
-      in
-      journal_gauge "rip_journal_bytes" "on-disk journal size" (fun s ->
+      let counter = expose stats Obs.counter_fn
+      and gauge = expose stats Obs.gauge_fn in
+      gauge "rip_journal_bytes" "on-disk journal size" (fun s ->
           s.Journal.bytes);
-      journal_gauge "rip_journal_segments" "journal segment files" (fun s ->
+      gauge "rip_journal_segments" "journal segment files" (fun s ->
           s.Journal.segments);
-      journal_gauge "rip_journal_live_entries" "journal live records" (fun s ->
+      gauge "rip_journal_live_entries" "journal live records" (fun s ->
           s.Journal.live_entries);
-      journal_gauge "rip_journal_dead_bytes"
+      gauge "rip_journal_dead_bytes"
         "journal bytes held by superseded or evicted records" (fun s ->
           s.Journal.dead_bytes);
-      journal_gauge "rip_journal_appends" "journal records appended" (fun s ->
+      counter "rip_journal_appends" "journal records appended" (fun s ->
           s.Journal.appends);
-      journal_gauge "rip_journal_fsyncs" "journal fsync batches" (fun s ->
+      counter "rip_journal_fsyncs" "journal fsync batches" (fun s ->
           s.Journal.fsyncs);
-      journal_gauge "rip_journal_compactions" "journal live-set rewrites"
-        (fun s -> s.Journal.compactions));
+      counter "rip_journal_compactions" "journal live-set rewrites" (fun s ->
+          s.Journal.compactions));
   t
 
 let incr_requests t = Obs.Counter.incr t.requests
@@ -134,44 +133,3 @@ let set_in_flight t n = Obs.Gauge.set t.in_flight (float_of_int n)
 let add_queue_depth t delta = Obs.Gauge.add t.queue_depth (float_of_int delta)
 let registry t = t.registry
 let render t = Obs.render t.registry
-let uptime_seconds t = Cpu_clock.monotonic_seconds () -. t.started
-
-let snapshot t ~shard_id ~cache ?journal () =
-  let queue_wait = Obs.Histogram.snapshot t.queue_wait in
-  let solve_cpu = Obs.Histogram.snapshot t.solve_cpu in
-  let q s p = Obs.Histogram.quantile s p in
-  let journal_bytes, journal_compactions =
-    match journal with
-    | None -> (0, 0)
-    | Some (s : Journal.stats) -> (s.Journal.bytes, s.Journal.compactions)
-  in
-  {
-    Protocol.shard_id;
-    uptime_seconds = uptime_seconds t;
-    requests = Obs.Counter.value t.requests;
-    solved = Obs.Counter.value t.solved;
-    errors = Obs.Counter.value t.errors;
-    rejected_busy = Obs.Counter.value t.rejected_busy;
-    timeouts = Obs.Counter.value t.timeouts;
-    degraded = Obs.Counter.value t.degraded;
-    toobig = Obs.Counter.value t.toobig;
-    cache_self_heals = cache.Solve_cache.self_heals;
-    cache_replayed = cache.Solve_cache.replayed;
-    journal_bytes;
-    journal_compactions;
-    cache_hits = cache.Solve_cache.hits;
-    cache_misses = cache.Solve_cache.misses;
-    cache_evictions = cache.Solve_cache.evictions;
-    cache_size = cache.Solve_cache.size;
-    cache_capacity = cache.Solve_cache.capacity;
-    queue_wait_seconds = queue_wait.Obs.Histogram.sum;
-    solve_cpu_seconds = solve_cpu.Obs.Histogram.sum;
-    in_flight = int_of_float (Obs.Gauge.value t.in_flight);
-    queue_depth = int_of_float (Obs.Gauge.value t.queue_depth);
-    queue_wait_p50 = q queue_wait 0.50;
-    queue_wait_p95 = q queue_wait 0.95;
-    queue_wait_p99 = q queue_wait 0.99;
-    solve_p50 = q solve_cpu 0.50;
-    solve_p95 = q solve_cpu 0.95;
-    solve_p99 = q solve_cpu 0.99;
-  }

@@ -1,11 +1,13 @@
 (** Request counters, gauges and latency histograms for one server
     instance, backed by the lock-free {!Rip_obs.Metrics} registry.
 
-    Counters are mutated from connection threads and read from any
-    thread without locking; a STATS frame derives every percentile and
-    cumulative sum from one histogram snapshot, so it can never show a
-    histogram disagreeing with itself.  Uptime runs on the monotonic
-    clock — a wall-clock step must not move it. *)
+    This module is the one list of a shard's series: the METRICS verb
+    renders it, and every other reader (the router's pricing and
+    cluster view, rip_loadgen's reconciliation, rip_top, perfbench)
+    finds a series by its name in that rendering.  Counters are mutated
+    from connection threads and read from any thread without locking.
+    Uptime runs on the monotonic clock — a wall-clock step must not move
+    it. *)
 
 type t
 
@@ -15,8 +17,8 @@ val create :
   unit ->
   t
 (** Fresh instruments; uptime starts now.  When [cache_stats] is given,
-    the solve cache's own counters are exposed as scrape-time gauges in
-    the Prometheus rendering (they remain owned by the cache); likewise
+    the solve cache's own counts are exposed as scrape-time series
+    ([rip_cache_*]; they remain owned by the cache); likewise
     [journal_stats] exposes the [rip_journal_*] family for a journaled
     server. *)
 
@@ -49,7 +51,7 @@ val add_solve_times : t -> queue_seconds:float -> cpu_seconds:float -> unit
 
 (** {1 Solver-probe counters}
 
-    Fed by the server's {!Rip_core.Rip.probe} hooks; they aggregate what
+    Fed by the server's {!Rip_core.Hooks} probe; they aggregate what
     the probes report per event.  All lock-free. *)
 
 val incr_dp_columns : t -> unit
@@ -77,23 +79,9 @@ val render : t -> string
 (** [Rip_obs.Metrics.render (registry t)]: the Prometheus text body of a
     METRICS response. *)
 
-val uptime_seconds : t -> float
-
 val queue_wait_metric : string
 (** Name of the queue-wait histogram in the exposition
     (["rip_queue_wait_seconds"]). *)
 
 val solve_cpu_metric : string
 (** Name of the solve-CPU histogram (["rip_solve_cpu_seconds"]). *)
-
-val snapshot :
-  t ->
-  shard_id:string ->
-  cache:Solve_cache.stats ->
-  ?journal:Journal.stats ->
-  unit ->
-  Protocol.stats
-(** A point-in-time STATS payload, merging the cache's own counters;
-    percentile fields are histogram estimates (0 before the first fresh
-    solve).  [shard_id] stamps the frame with the answering server's
-    identity; [journal] fills the journal fields (0 when absent). *)

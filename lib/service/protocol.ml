@@ -15,37 +15,6 @@ type served = Fresh | Cached
 
 type degrade_reason = Deadline_exceeded | Overload | Worker_lost
 
-type stats = {
-  shard_id : string;
-  uptime_seconds : float;
-  requests : int;
-  solved : int;
-  errors : int;
-  rejected_busy : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_size : int;
-  cache_capacity : int;
-  queue_wait_seconds : float;
-  solve_cpu_seconds : float;
-  timeouts : int;
-  degraded : int;
-  toobig : int;
-  cache_self_heals : int;
-  cache_replayed : int;
-  journal_bytes : int;
-  journal_compactions : int;
-  in_flight : int;
-  queue_depth : int;
-  queue_wait_p50 : float;
-  queue_wait_p95 : float;
-  queue_wait_p99 : float;
-  solve_p50 : float;
-  solve_p95 : float;
-  solve_p99 : float;
-}
-
 type health = {
   health_shard_id : string;
   health_in_flight : int;
@@ -57,7 +26,6 @@ module Trace = Rip_obs.Trace
 
 type request =
   | Ping
-  | Stats
   | Metrics
   | Health
   | Shutdown
@@ -77,7 +45,6 @@ type response =
   | Error_frame of { kind : error_kind; message : string }
   | Result of { served : served; solution : solution }
   | Degraded of { reason : degrade_reason; solution : solution }
-  | Stats_frame of stats
   | Metrics_frame of string
       (* Prometheus text exposition, newline-terminated lines *)
   | Health_frame of health
@@ -116,7 +83,7 @@ let degrade_reason_of_string = function
   | "worker-lost" -> Some Worker_lost
   | _ -> None
 
-(* A shard id travels on single-line frames (HEALTHY, STATS body), so it
+(* A shard id travels on the single-line HEALTHY frame, so it
    must be one whitespace-free token.  Enforced here once, for servers
    and routers alike. *)
 let valid_shard_id id =
@@ -131,7 +98,6 @@ let valid_shard_id id =
 
 let print_request = function
   | Ping -> "PING\n"
-  | Stats -> "STATS\n"
   | Metrics -> "METRICS\n"
   | Health -> "HEALTH\n"
   | Shutdown -> "SHUTDOWN\n"
@@ -163,40 +129,6 @@ let solution_body solution =
   Buffer.add_string buffer (Printf.sprintf "power %.17g\n" solution.power_watts);
   Buffer.contents buffer
 
-(* Field order is the wire order of a STATS frame; the parser accepts any
-   order but the printer is canonical so STATS frames round-trip bytewise. *)
-let stats_fields stats =
-  [
-    ("shard_id", stats.shard_id);
-    ("uptime_seconds", Printf.sprintf "%.17g" stats.uptime_seconds);
-    ("requests", string_of_int stats.requests);
-    ("solved", string_of_int stats.solved);
-    ("errors", string_of_int stats.errors);
-    ("rejected_busy", string_of_int stats.rejected_busy);
-    ("cache_hits", string_of_int stats.cache_hits);
-    ("cache_misses", string_of_int stats.cache_misses);
-    ("cache_evictions", string_of_int stats.cache_evictions);
-    ("cache_size", string_of_int stats.cache_size);
-    ("cache_capacity", string_of_int stats.cache_capacity);
-    ("queue_wait_seconds", Printf.sprintf "%.17g" stats.queue_wait_seconds);
-    ("solve_cpu_seconds", Printf.sprintf "%.17g" stats.solve_cpu_seconds);
-    ("timeouts", string_of_int stats.timeouts);
-    ("degraded", string_of_int stats.degraded);
-    ("toobig", string_of_int stats.toobig);
-    ("cache_self_heals", string_of_int stats.cache_self_heals);
-    ("cache_replayed", string_of_int stats.cache_replayed);
-    ("journal_bytes", string_of_int stats.journal_bytes);
-    ("journal_compactions", string_of_int stats.journal_compactions);
-    ("in_flight", string_of_int stats.in_flight);
-    ("queue_depth", string_of_int stats.queue_depth);
-    ("queue_wait_p50", Printf.sprintf "%.17g" stats.queue_wait_p50);
-    ("queue_wait_p95", Printf.sprintf "%.17g" stats.queue_wait_p95);
-    ("queue_wait_p99", Printf.sprintf "%.17g" stats.queue_wait_p99);
-    ("solve_p50", Printf.sprintf "%.17g" stats.solve_p50);
-    ("solve_p95", Printf.sprintf "%.17g" stats.solve_p95);
-    ("solve_p99", Printf.sprintf "%.17g" stats.solve_p99);
-  ]
-
 let print_response = function
   | Pong -> "PONG\n"
   | Bye -> "BYE\n"
@@ -213,13 +145,6 @@ let print_response = function
       Printf.sprintf "DEGRADED %s\n%sEND\n"
         (degrade_reason_to_string reason)
         (solution_body solution)
-  | Stats_frame stats ->
-      let body =
-        String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf "%s %s\n" k v)
-             (stats_fields stats))
-      in
-      Printf.sprintf "STATS\n%sEND\n" body
   | Metrics_frame body -> Printf.sprintf "METRICS\n%sEND\n" body
   | Health_frame h ->
       Printf.sprintf "HEALTHY %s %d %d %d\n" h.health_shard_id
@@ -279,7 +204,6 @@ let input_request read =
   | Some line -> (
       match split_words line with
       | [ "PING" ] -> Ok (Some Ping)
-      | [ "STATS" ] -> Ok (Some Stats)
       | [ "METRICS" ] -> Ok (Some Metrics)
       | [ "HEALTH" ] -> Ok (Some Health)
       | [ "SHUTDOWN" ] -> Ok (Some Shutdown)
@@ -362,93 +286,6 @@ let parse_solution_body lines =
   in
   loop [] lines
 
-let parse_stats_body lines =
-  let* fields =
-    List.fold_left
-      (fun acc line ->
-        let* acc = acc in
-        match split_words line with
-        | [ key; value ] -> Ok ((key, value) :: acc)
-        | _ -> Error (Printf.sprintf "bad STATS body line %S" line))
-      (Ok []) lines
-  in
-  let lookup key =
-    match List.assoc_opt key fields with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "STATS frame missing field %S" key)
-  in
-  let geti key =
-    let* v = lookup key in
-    parse_int key v
-  in
-  let getf key =
-    let* v = lookup key in
-    parse_float key v
-  in
-  let* shard_id = lookup "shard_id" in
-  let* () =
-    if valid_shard_id shard_id then Ok ()
-    else Error (Printf.sprintf "bad shard_id %S" shard_id)
-  in
-  let* uptime_seconds = getf "uptime_seconds" in
-  let* requests = geti "requests" in
-  let* solved = geti "solved" in
-  let* errors = geti "errors" in
-  let* rejected_busy = geti "rejected_busy" in
-  let* cache_hits = geti "cache_hits" in
-  let* cache_misses = geti "cache_misses" in
-  let* cache_evictions = geti "cache_evictions" in
-  let* cache_size = geti "cache_size" in
-  let* cache_capacity = geti "cache_capacity" in
-  let* queue_wait_seconds = getf "queue_wait_seconds" in
-  let* solve_cpu_seconds = getf "solve_cpu_seconds" in
-  let* timeouts = geti "timeouts" in
-  let* degraded = geti "degraded" in
-  let* toobig = geti "toobig" in
-  let* cache_self_heals = geti "cache_self_heals" in
-  let* cache_replayed = geti "cache_replayed" in
-  let* journal_bytes = geti "journal_bytes" in
-  let* journal_compactions = geti "journal_compactions" in
-  let* in_flight = geti "in_flight" in
-  let* queue_depth = geti "queue_depth" in
-  let* queue_wait_p50 = getf "queue_wait_p50" in
-  let* queue_wait_p95 = getf "queue_wait_p95" in
-  let* queue_wait_p99 = getf "queue_wait_p99" in
-  let* solve_p50 = getf "solve_p50" in
-  let* solve_p95 = getf "solve_p95" in
-  let* solve_p99 = getf "solve_p99" in
-  Ok
-    {
-      shard_id;
-      uptime_seconds;
-      requests;
-      solved;
-      errors;
-      rejected_busy;
-      cache_hits;
-      cache_misses;
-      cache_evictions;
-      cache_size;
-      cache_capacity;
-      queue_wait_seconds;
-      solve_cpu_seconds;
-      timeouts;
-      degraded;
-      toobig;
-      cache_self_heals;
-      cache_replayed;
-      journal_bytes;
-      journal_compactions;
-      in_flight;
-      queue_depth;
-      queue_wait_p50;
-      queue_wait_p95;
-      queue_wait_p99;
-      solve_p50;
-      solve_p95;
-      solve_p99;
-    }
-
 let input_response read =
   match read () with
   | None -> Ok None
@@ -492,10 +329,6 @@ let input_response read =
           let* body = body_until_end read in
           let* solution = parse_solution_body body in
           Ok (Some (Degraded { reason; solution }))
-      | [ "STATS" ] ->
-          let* body = body_until_end read in
-          let* stats = parse_stats_body body in
-          Ok (Some (Stats_frame stats))
       | [ "METRICS" ] ->
           (* Keep the raw lines: the body is opaque Prometheus text, and
              Prometheus never emits a bare END line. *)
@@ -527,7 +360,7 @@ let input_response read =
 
 let request_equal a b =
   match (a, b) with
-  | Ping, Ping | Stats, Stats | Metrics, Metrics | Health, Health
+  | Ping, Ping | Metrics, Metrics | Health, Health
   | Shutdown, Shutdown ->
       true
   | Solve a, Solve b ->
@@ -535,7 +368,7 @@ let request_equal a b =
       && Option.equal Float.equal a.deadline_ms b.deadline_ms
       && Option.equal Trace.context_equal a.trace b.trace
       && Rip_net.Net.equal a.net b.net
-  | (Ping | Stats | Metrics | Health | Shutdown | Solve _), _ -> false
+  | (Ping | Metrics | Health | Shutdown | Solve _), _ -> false
 
 let solution_equal a b =
   List.equal
@@ -553,33 +386,6 @@ let response_equal a b =
       a.served = b.served && solution_equal a.solution b.solution
   | Degraded a, Degraded b ->
       a.reason = b.reason && solution_equal a.solution b.solution
-  | Stats_frame a, Stats_frame b ->
-      String.equal a.shard_id b.shard_id
-      && Float.equal a.uptime_seconds b.uptime_seconds
-      && a.requests = b.requests && a.solved = b.solved
-      && a.errors = b.errors
-      && a.rejected_busy = b.rejected_busy
-      && a.cache_hits = b.cache_hits
-      && a.cache_misses = b.cache_misses
-      && a.cache_evictions = b.cache_evictions
-      && a.cache_size = b.cache_size
-      && a.cache_capacity = b.cache_capacity
-      && Float.equal a.queue_wait_seconds b.queue_wait_seconds
-      && Float.equal a.solve_cpu_seconds b.solve_cpu_seconds
-      && a.timeouts = b.timeouts && a.degraded = b.degraded
-      && a.toobig = b.toobig
-      && a.cache_self_heals = b.cache_self_heals
-      && a.cache_replayed = b.cache_replayed
-      && a.journal_bytes = b.journal_bytes
-      && a.journal_compactions = b.journal_compactions
-      && a.in_flight = b.in_flight
-      && a.queue_depth = b.queue_depth
-      && Float.equal a.queue_wait_p50 b.queue_wait_p50
-      && Float.equal a.queue_wait_p95 b.queue_wait_p95
-      && Float.equal a.queue_wait_p99 b.queue_wait_p99
-      && Float.equal a.solve_p50 b.solve_p50
-      && Float.equal a.solve_p95 b.solve_p95
-      && Float.equal a.solve_p99 b.solve_p99
   | Metrics_frame a, Metrics_frame b -> String.equal a b
   | Health_frame a, Health_frame b ->
       String.equal a.health_shard_id b.health_shard_id
@@ -587,6 +393,6 @@ let response_equal a b =
       && a.health_queue_depth = b.health_queue_depth
       && a.health_high_water = b.health_high_water
   | ( ( Pong | Bye | Busy | Timeout | Toobig | Error_frame _ | Result _
-      | Degraded _ | Stats_frame _ | Metrics_frame _ | Health_frame _ ),
+      | Degraded _ | Metrics_frame _ | Health_frame _ ),
       _ ) ->
       false

@@ -8,7 +8,6 @@
     Requests:
     {v
     PING
-    STATS
     METRICS
     HEALTH
     SHUTDOWN
@@ -52,9 +51,6 @@
     DEGRADED <deadline|overload|worker-lost>
     <same solution body as RESULT>
     END
-    STATS
-    <field> <value>                      (one line per stats field)
-    END
     METRICS
     <Prometheus text exposition lines>
     END
@@ -68,9 +64,12 @@
     admission gauges.
 
     The [METRICS] body is the server registry's Prometheus text
-    exposition ({!Rip_obs.Metrics.render}): counters, gauges, and the
-    queue-wait / solve-latency histograms.  A Prometheus line never
-    equals [END], so the framing is unambiguous.
+    exposition ({!Rip_obs.Metrics.render}) — every counter, gauge and
+    histogram a shard keeps ({!Metrics} lists them) — and the only way
+    to read them: there is no second counter frame.  A router answers
+    with its own [rip_router_*] series followed by the cluster view, the
+    shards' series summed under their own names.  A Prometheus line
+    never equals [END], so the framing is unambiguous.
 
     [TIMEOUT] answers a SOLVE whose deadline had already expired at
     admission.  [TOOBIG] answers a request frame exceeding the server's
@@ -84,7 +83,7 @@
     timestamps or runtimes — so a cache hit replays the cached solve
     byte for byte, except for the [fresh]/[cached] marker on the header
     line.  Per-request timing is aggregated server-side and surfaced
-    through [STATS]. *)
+    through [METRICS]. *)
 
 (** {1 Frame types} *)
 
@@ -111,47 +110,6 @@ type degrade_reason =
           solve was never attempted *)
   | Worker_lost  (** the worker running the solve died mid-solve *)
 
-type stats = {
-  shard_id : string;
-      (** the answering server's identity; ["standalone"] unless
-          configured (a router aggregating shard stats answers with its
-          own id) *)
-  uptime_seconds : float;
-  requests : int;  (** SOLVE requests received (PING/STATS not counted) *)
-  solved : int;  (** SOLVE requests answered with RESULT, hits included *)
-  errors : int;  (** SOLVE requests answered with a solver ERROR *)
-  rejected_busy : int;  (** SOLVE requests answered with BUSY *)
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_size : int;
-  cache_capacity : int;
-  queue_wait_seconds : float;
-      (** cumulative seconds solves spent queued behind the worker pool *)
-  solve_cpu_seconds : float;
-      (** cumulative thread-CPU seconds spent inside the solver *)
-  timeouts : int;  (** SOLVE requests answered with TIMEOUT *)
-  degraded : int;  (** SOLVE requests answered with DEGRADED *)
-  toobig : int;  (** request frames rejected with TOOBIG *)
-  cache_self_heals : int;
-      (** cache entries dropped on read because their digest no longer
-          matched their body (and re-solved) *)
-  cache_replayed : int;
-      (** cache entries admitted from journal replay at boot; they count
-          into neither hits nor misses *)
-  journal_bytes : int;  (** on-disk journal size, a gauge; 0 unjournaled *)
-  journal_compactions : int;  (** live-set rewrites since startup *)
-  in_flight : int;  (** SOLVE requests currently admitted, a gauge *)
-  queue_depth : int;
-      (** of those, how many are waiting or running in the worker pool *)
-  queue_wait_p50 : float;  (** seconds; histogram estimates over *)
-  queue_wait_p95 : float;  (** every fresh solve since startup — *)
-  queue_wait_p99 : float;  (** 0 before the first one *)
-  solve_p50 : float;  (** thread-CPU seconds inside the solver *)
-  solve_p95 : float;
-  solve_p99 : float;
-}
-
 type health = {
   health_shard_id : string;
   health_in_flight : int;  (** admitted SOLVEs right now *)
@@ -161,7 +119,6 @@ type health = {
 
 type request =
   | Ping
-  | Stats
   | Metrics
   | Health
   | Shutdown
@@ -183,7 +140,6 @@ type response =
   | Error_frame of { kind : error_kind; message : string }
   | Result of { served : served; solution : solution }
   | Degraded of { reason : degrade_reason; solution : solution }
-  | Stats_frame of stats
   | Metrics_frame of string
       (** the Prometheus text body, newline-terminated lines *)
   | Health_frame of health
@@ -192,7 +148,7 @@ type response =
 
 val valid_shard_id : string -> bool
 (** One non-empty token over [[A-Za-z0-9._-]] — what fits on the
-    single-line [HEALTHY] and [STATS shard_id] fields. *)
+    single-line [HEALTHY] frame. *)
 
 val print_request : request -> string
 (** The frame's wire form, newline-terminated. *)

@@ -248,11 +248,7 @@ let create ?(config = default_config) process =
     connection_threads = [];
   }
 
-let stats t =
-  Metrics.snapshot t.metrics ~shard_id:t.config.shard_id
-    ~cache:(Solve_cache.stats t.cache)
-    ?journal:(Option.map Journal.stats t.journal)
-    ()
+let metrics t = t.metrics
 
 let journal_recovery t = t.journal_recovery
 let journal_flush t = Option.iter Journal.flush t.journal
@@ -635,9 +631,6 @@ let handle_connection t fd =
         send (Protocol.Error_frame { kind = Protocol.Protocol_error; message })
     | Ok (Some Protocol.Ping) ->
         send Protocol.Pong;
-        serve ()
-    | Ok (Some Protocol.Stats) ->
-        send (Protocol.Stats_frame (stats t));
         serve ()
     | Ok (Some Protocol.Metrics) ->
         send (Protocol.Metrics_frame (Metrics.render t.metrics));

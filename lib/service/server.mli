@@ -38,7 +38,7 @@
 
 type config = {
   shard_id : string;
-      (** this server's identity on HEALTH and STATS frames; one token
+      (** this server's identity on HEALTH frames; one token
           over [[A-Za-z0-9._-]] (see {!Protocol.valid_shard_id}).  A
           router uses it to tell its shards apart *)
   jobs : int option;
@@ -96,8 +96,8 @@ val create : ?config:config -> Rip_tech.Process.t -> t
     wanting a typed error should probe with {!Journal.prepare_dir}
     first). *)
 
-val stats : t -> Protocol.stats
-(** The STATS payload a client would receive now. *)
+val metrics : t -> Metrics.t
+(** The instruments the METRICS verb renders. *)
 
 val journal_recovery : t -> Journal.recovery option
 (** What boot-time replay found: [None] for an unjournaled server.

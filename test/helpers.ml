@@ -116,3 +116,18 @@ let contains haystack needle =
 let close ?(rel = 1e-3) expected actual =
   let scale = Float.max (Float.abs expected) (Float.abs actual) in
   scale = 0.0 || Float.abs (expected -. actual) /. scale <= rel
+
+(* --- METRICS reads ------------------------------------------------------- *)
+
+(* A scalar series of a METRICS body, by name; a missing series fails
+   the test rather than reading as zero. *)
+let series_value body name =
+  match Rip_obs.Metrics.scalar body name with
+  | Some v -> v
+  | None -> Alcotest.failf "series %s missing from METRICS" name
+
+let series body name = int_of_float (series_value body name)
+
+(* What the server's METRICS verb would answer now. *)
+let server_metrics server =
+  Rip_service.Metrics.render (Rip_service.Server.metrics server)

@@ -18,8 +18,8 @@ let invalid name f = Alcotest.match_raises name (function Invalid_argument _ -> 
 let check_float = Alcotest.(check (float 1e-9))
 let repeater = Helpers.repeater
 
-(* Most tests go through the redesigned request/run entry point; [backend]
-   defaults to [Auto] exactly as production callers get it. *)
+(* Most tests go through the request/run entry point; [backend]
+   defaults to [Fast] exactly as production callers get it. *)
 let run_dp ?backend ?frontier_cap ?arena ?hooks geometry repeater ~library
     ~candidates ~budget =
   Power_dp.run
@@ -481,43 +481,26 @@ let test_arena_reuse () =
   Alcotest.(check int) "capacity stabilises after warmup" capacity_after_warmup
     (Rip_dp.Fast_dp.Arena.capacity arena)
 
-let test_auto_backend () =
-  Alcotest.(check string) "auto resolves small instances to the reference"
-    (Power_dp.backend_name Power_dp.Reference)
-    (Power_dp.backend_name
-       (Power_dp.auto_backend ~interior_sites:3 ~library_size:5));
-  Alcotest.(check string) "auto resolves large instances to fast"
-    (Power_dp.backend_name Power_dp.Fast)
-    (Power_dp.backend_name
-       (Power_dp.auto_backend ~interior_sites:20 ~library_size:10));
-  Alcotest.(check bool) "cutover boundary goes fast" true
-    (Power_dp.auto_backend ~interior_sites:Power_dp.auto_cutover
-       ~library_size:1
-    = Power_dp.Fast)
-
-(* The deprecated entry point must stay a faithful shim over the new
-   one. *)
-let[@alert "-deprecated"] test_deprecated_solve_shim () =
+(* The production default on a zoned net, held to the reference oracle
+   by the same request with [~backend:Reference]. *)
+let test_default_matches_reference () =
   let net = zoned_net () in
   let geometry = Geometry.of_net net in
   let bare = Delay.total repeater geometry Solution.empty in
   let library = Repeater_library.uniform ~min_width:10.0 ~step:10.0 ~count:5 in
   let candidates = Candidates.uniform net ~pitch:200.0 in
   let budget = 0.8 *. bare in
-  let old_style =
-    Power_dp.solve geometry repeater ~library ~candidates ~budget
-  in
-  let new_style =
+  let reference =
     run_dp ~backend:Power_dp.Reference geometry repeater ~library ~candidates
       ~budget
   in
-  match (old_style, new_style) with
+  match (reference, run_dp geometry repeater ~library ~candidates ~budget) with
   | None, None -> ()
   | Some a, Some b ->
-      Alcotest.(check bool) "solve = run (request ~backend:Reference)" true
+      Alcotest.(check bool) "default run = run ~backend:Reference" true
         (identical_results a b)
   | Some _, None | None, Some _ ->
-      Alcotest.fail "deprecated shim feasibility mismatch"
+      Alcotest.fail "default backend feasibility mismatch"
 
 let test_run_rejects_tiny_cap () =
   let net = zoned_net () in
@@ -570,9 +553,8 @@ let suite =
       [
         qcheck prop_backend_equivalence;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
-        Alcotest.test_case "auto cutover" `Quick test_auto_backend;
-        Alcotest.test_case "deprecated solve shim" `Quick
-          test_deprecated_solve_shim;
+        Alcotest.test_case "fast default matches reference" `Quick
+          test_default_matches_reference;
         Alcotest.test_case "tiny frontier cap rejected" `Quick
           test_run_rejects_tiny_cap;
       ] );

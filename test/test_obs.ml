@@ -558,6 +558,44 @@ let test_exposition_conformance () =
       Alcotest.(check int) "parse sees both samples" 2 s.Histogram.count
   | _ -> Alcotest.fail "histogram family did not round trip"
 
+(* Two processes' scrapes summed into one view: counters and gauges
+   add, histograms merge, a series only one side has is kept, and the
+   view renders back to text that parses to itself. *)
+let test_exposition_sum () =
+  let scrape ~requests ~size samples =
+    let r = Obs.create () in
+    Counter.add (Obs.counter r ~name:"reqs_total" ~help:"requests") requests;
+    Obs.counter_fn r ~name:"hits" ~help:"owned elsewhere" (fun () -> 2.0);
+    Gauge.set (Obs.gauge r ~name:"size" ~help:"entries") size;
+    let h = Obs.histogram ~bounds r ~name:"lat_seconds" ~help:"latency" in
+    List.iter (Histogram.observe h) samples;
+    Obs.Exposition.parse (Obs.render r)
+  in
+  let a = scrape ~requests:3 ~size:4.0 [ 0.5; 5.0 ] in
+  let b = scrape ~requests:4 ~size:1.5 [ 500.0 ] in
+  let only_b = [ ("extra_total", Obs.Counter_sample 7.0) ] in
+  let sum = Obs.Exposition.(add a (add b only_b)) in
+  let value name = Option.value ~default:nan (Obs.Exposition.value sum name) in
+  check_float "counters add" 7.0 (value "reqs_total");
+  check_float "scrape-time counters add" 4.0 (value "hits");
+  check_float "gauges add" 5.5 (value "size");
+  check_float "one-sided series kept" 7.0 (value "extra_total");
+  (match Obs.Exposition.histogram sum "lat_seconds" with
+  | Some h ->
+      Alcotest.(check int) "histograms merge" 3 h.Histogram.count;
+      check_float "histogram sums add" 505.5 h.Histogram.sum
+  | None -> Alcotest.fail "merged histogram missing");
+  Alcotest.(check (list string))
+    "cumulative keeps counters and histograms"
+    [ "reqs_total"; "hits"; "lat_seconds"; "extra_total" ]
+    (List.map fst (Obs.Exposition.cumulative sum));
+  Alcotest.(check bool)
+    "render/parse round trip" true
+    (Obs.Exposition.parse (Obs.Exposition.render sum) = sum);
+  invalid "one name, two types" (fun () ->
+      ignore
+        (Obs.Exposition.add sum [ ("size", Obs.Counter_sample 1.0) ]))
+
 (* --- Solver probes through the full pipeline ------------------------------ *)
 
 let probe_request () =
@@ -638,6 +676,8 @@ let suite =
         Alcotest.test_case "names and duplicates" `Quick test_registry_names;
         Alcotest.test_case "render/parse round trip" `Quick
           test_render_parse_roundtrip;
+        Alcotest.test_case "expositions sum by name" `Quick
+          test_exposition_sum;
       ] );
     ( "obs.trace",
       [

@@ -99,11 +99,15 @@ let test_timeout_at_admission () =
           Alcotest.failf "expired deadline answered %S"
             (Protocol.print_response other)
       | Error e -> Alcotest.failf "transport failure: %s" e);
-      let stats = Server.stats server in
-      Alcotest.(check int) "one timeout" 1 stats.Protocol.timeouts;
-      Alcotest.(check int) "nothing solved" 0 stats.Protocol.solved;
+      let metrics = Helpers.server_metrics server in
+      Alcotest.(check int) "one timeout" 1
+        (Helpers.series metrics "rip_timeouts_total");
+      Alcotest.(check int) "nothing solved" 0
+        (Helpers.series metrics "rip_solved_total");
       Alcotest.(check int) "no solver time spent" 0
-        (compare stats.Protocol.solve_cpu_seconds 0.0);
+        (compare
+           (Helpers.series_value metrics "rip_solve_cpu_seconds_sum")
+           0.0);
       Client.close client;
       Thread.join worker)
 
@@ -133,7 +137,7 @@ let test_cache_hit_beats_expired_deadline () =
             (Protocol.print_response other)
       | Error e -> Alcotest.failf "cache hit failed: %s" e);
       Alcotest.(check int) "no timeout counted" 0
-        (Server.stats server).Protocol.timeouts;
+        (Helpers.series (Helpers.server_metrics server) "rip_timeouts_total");
       Client.close client;
       Thread.join worker)
 
@@ -163,10 +167,11 @@ let test_deadline_mid_solve_degrades () =
           Alcotest.failf "deadline mid-solve answered %S"
             (Protocol.print_response other)
       | Error e -> Alcotest.failf "transport failure: %s" e);
-      let stats = Server.stats server in
-      Alcotest.(check int) "one degradation" 1 stats.Protocol.degraded;
+      let metrics = Helpers.server_metrics server in
+      Alcotest.(check int) "one degradation" 1
+        (Helpers.series metrics "rip_degraded_total");
       Alcotest.(check int) "no TIMEOUT (work was attempted)" 0
-        stats.Protocol.timeouts;
+        (Helpers.series metrics "rip_timeouts_total");
       Client.close client;
       Thread.join worker)
 
@@ -209,7 +214,7 @@ let test_worker_kill_degrades () =
             (Protocol.print_response other)
       | Error e -> Alcotest.failf "PING failed: %s" e);
       Alcotest.(check int) "both requests degraded" 2
-        (Server.stats server).Protocol.degraded;
+        (Helpers.series (Helpers.server_metrics server) "rip_degraded_total");
       Client.close client;
       Thread.join worker)
 
@@ -285,9 +290,9 @@ let test_cache_corruption_self_heals () =
         (served () = Protocol.Fresh);
       Alcotest.(check bool) "healed entry serves again" true
         (served () = Protocol.Cached);
-      let stats = Server.stats server in
+      let metrics = Helpers.server_metrics server in
       Alcotest.(check int) "one self-heal counted" 1
-        stats.Protocol.cache_self_heals;
+        (Helpers.series metrics "rip_cache_self_heals");
       Client.close client;
       Thread.join worker)
 
@@ -329,7 +334,7 @@ let test_oversized_frame_rejected () =
       Thread.join worker;
       Unix.close client_fd;
       Alcotest.(check int) "toobig counted" 1
-        (Server.stats server).Protocol.toobig)
+        (Helpers.series (Helpers.server_metrics server) "rip_toobig_total"))
 
 let test_wire_reader_bounds () =
   (* Writes are interleaved with reads so each read sees exactly one
@@ -485,11 +490,11 @@ let test_dropped_connection_retries () =
       Alcotest.(check int) "both retries were transport retries" 2
         outcome.Client.retried_transport;
       (* Every attempt reached the server and was fully served there. *)
-      let stats = Server.stats server in
+      let metrics = Helpers.server_metrics server in
       Alcotest.(check int) "server saw every attempt" 3
-        stats.Protocol.requests;
+        (Helpers.series metrics "rip_requests_total");
       Alcotest.(check int) "first attempt solved, replays hit the cache" 2
-        stats.Protocol.cache_hits)
+        (Helpers.series metrics "rip_cache_hits"))
 
 let test_busy_retries_counted () =
   with_server ~config:{ Server.default_config with jobs = Some 1 }
@@ -530,7 +535,8 @@ let test_busy_retries_counted () =
       | Error e -> Alcotest.failf "transport failure: %s" e);
       Alcotest.(check int) "two busy retries" 2 outcome.Client.retried_busy;
       Alcotest.(check int) "server counted every attempt" 3
-        (Server.stats server).Protocol.rejected_busy;
+        (Helpers.series (Helpers.server_metrics server)
+           "rip_rejected_busy_total");
       Client.close_session session;
       Thread.join worker)
 
@@ -540,7 +546,7 @@ let test_busy_retries_counted () =
    a 50 ms deadline.  Every request must get exactly one well-formed
    typed response — RESULT, DEGRADED, TIMEOUT or BUSY — with zero hangs,
    and the load generator's counts must reconcile with the server's
-   STATS deltas. *)
+   METRICS counters. *)
 let test_chaos_storm_counts_reconcile () =
   with_listening_server ~tag:"chaos"
     ~config:
@@ -582,30 +588,31 @@ let test_chaos_storm_counts_reconcile () =
         (result.Loadgen.solved_fresh + result.Loadgen.solved_cached
         + result.Loadgen.degraded + result.Loadgen.timeouts
         + result.Loadgen.busy);
-      (* The loadgen's view reconciles with the server's STATS: every
+      (* The loadgen's view reconciles with the server's counters: every
          retried BUSY/TIMEOUT attempt also reached the server. *)
-      let stats = Server.stats server in
+      let metrics = Helpers.server_metrics server in
       let attempts =
         requests + result.Loadgen.retried_busy + result.Loadgen.retried_timeout
       in
       Alcotest.(check int) "server saw every attempt" attempts
-        stats.Protocol.requests;
+        (Helpers.series metrics "rip_requests_total");
       Alcotest.(check int) "solved reconciles"
         (result.Loadgen.solved_fresh + result.Loadgen.solved_cached)
-        stats.Protocol.solved;
+        (Helpers.series metrics "rip_solved_total");
       Alcotest.(check int) "degraded reconciles" result.Loadgen.degraded
-        stats.Protocol.degraded;
+        (Helpers.series metrics "rip_degraded_total");
       Alcotest.(check int) "timeouts reconcile"
         (result.Loadgen.timeouts + result.Loadgen.retried_timeout)
-        stats.Protocol.timeouts;
+        (Helpers.series metrics "rip_timeouts_total");
       Alcotest.(check int) "busy reconciles"
         (result.Loadgen.busy + result.Loadgen.retried_busy)
-        stats.Protocol.rejected_busy;
+        (Helpers.series metrics "rip_rejected_busy_total");
       Alcotest.(check int) "cache hits reconcile" result.Loadgen.solved_cached
-        stats.Protocol.cache_hits;
+        (Helpers.series metrics "rip_cache_hits");
       Alcotest.(check int) "every attempt hit or missed the cache"
-        stats.Protocol.requests
-        (stats.Protocol.cache_hits + stats.Protocol.cache_misses);
+        (Helpers.series metrics "rip_requests_total")
+        (Helpers.series metrics "rip_cache_hits"
+        + Helpers.series metrics "rip_cache_misses");
       (* Under kills and delays something must actually have degraded —
          otherwise this storm is not testing what it claims to. *)
       Alcotest.(check bool) "the storm injected real faults" true
@@ -939,9 +946,9 @@ let test_journal_server_restart () =
                 (List.length r.Journal.entries);
               Alcotest.(check bool) "the torn tail was repaired" true
                 (r.Journal.torn_bytes > 0));
-          let stats = Server.stats server2 in
+          let metrics = Helpers.server_metrics server2 in
           Alcotest.(check int) "all records replayed into the cache" 5
-            stats.Protocol.cache_replayed;
+            (Helpers.series metrics "rip_cache_replayed");
           let replayed =
             List.map
               (fun net ->
@@ -953,11 +960,11 @@ let test_journal_server_restart () =
           in
           Alcotest.(check bool) "cached replays are byte-identical" true
             (replayed = first_bodies);
-          let stats = Server.stats server2 in
+          let metrics = Helpers.server_metrics server2 in
           Alcotest.(check int) "no misses: the warm set covered the suite" 0
-            stats.Protocol.cache_misses;
+            (Helpers.series metrics "rip_cache_misses");
           Alcotest.(check int) "replay counts as neither hit nor miss" 5
-            stats.Protocol.cache_hits))
+            (Helpers.series metrics "rip_cache_hits")))
 
 let suite =
   [

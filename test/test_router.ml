@@ -373,6 +373,145 @@ let test_router_trace_parentage () =
       Alcotest.failf "expected exactly 1 merged trace, got %d"
         (List.length traces)
 
+(* A restarted shard counts from zero.  The router carries the dead
+   incarnation's counters, so its cluster view (the shards' series
+   under their own names, appended to its METRICS) never goes
+   backwards: the load generator's delta reconciliation relies on it. *)
+let test_router_cluster_counters_survive_restart () =
+  let process = Helpers.process in
+  let module Server = Rip_service.Server in
+  let module Client = Rip_service.Client in
+  let module Protocol = Rip_service.Protocol in
+  let module Exposition = Rip_obs.Metrics.Exposition in
+  (* Writes to the crashed shard must fail with EPIPE, as they do in
+     rip_routerd, not kill the test. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = Filename.get_temp_dir_name () in
+  let tag = Unix.getpid () in
+  let shard_sock =
+    Filename.concat dir (Printf.sprintf "rip-test-%d-restart-s0.sock" tag)
+  in
+  let router_sock =
+    Filename.concat dir (Printf.sprintf "rip-test-%d-restart-router.sock" tag)
+  in
+  (* The shard's connections are tracked so a crash can cut them all,
+     as a killed process would. *)
+  let start_shard () =
+    let server =
+      Server.create
+        ~config:{ Server.default_config with jobs = Some 1; shard_id = "s0" }
+        process
+    in
+    let listener = Server.listen_unix shard_sock in
+    let fds = ref [] and fds_mutex = Mutex.create () in
+    let rec accept_loop () =
+      match Unix.accept ~cloexec:true listener with
+      | fd, _ ->
+          Mutex.protect fds_mutex (fun () -> fds := fd :: !fds);
+          ignore (Thread.create (Server.handle_connection server) fd);
+          accept_loop ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    let acceptor = Thread.create accept_loop () in
+    fun () ->
+      Unix.shutdown listener Unix.SHUTDOWN_ALL;
+      Thread.join acceptor;
+      Unix.close listener;
+      Mutex.protect fds_mutex (fun () ->
+          List.iter
+            (fun fd ->
+              try Unix.shutdown fd Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            !fds);
+      Server.shutdown server
+  in
+  let crash_first = start_shard () in
+  let router =
+    Router.create
+      ~config:{ Router.default_config with poll_interval = 0.02 }
+      ~shards:[ { Router.id = "s0"; socket = shard_sock; weight = 1 } ]
+      process
+  in
+  let router_listener = Router.listen_unix router_sock in
+  let router_thread =
+    Thread.create (fun () -> Router.run router router_listener) ()
+  in
+  let client = Client.connect_unix router_sock in
+  let metrics () =
+    match Client.request client Protocol.Metrics with
+    | Ok (Protocol.Metrics_frame body) -> Exposition.parse body
+    | Ok other ->
+        Alcotest.failf "METRICS answered %S" (Protocol.print_response other)
+    | Error e -> Alcotest.failf "METRICS failed: %s" e
+  in
+  let series view name =
+    match Exposition.value view name with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "series %s missing from the router" name
+  in
+  let shard_up () = series (metrics ()) "rip_router_shard_s0_up" = 1 in
+  let wait_until what cond =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while not (cond ()) do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "timed out waiting until %s" what;
+      Thread.delay 0.01
+    done
+  in
+  let solve length =
+    let net =
+      Helpers.Net.uniform ~name:"restart" Rip_tech.Layer.metal4 ~length
+        ~segment_count:2 ~driver_width:30.0 ~receiver_width:60.0
+    in
+    let budget =
+      1.3 *. Rip_core.Rip.tau_min process (Rip_net.Geometry.of_net net)
+    in
+    match
+      Client.request client
+        (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
+    with
+    | Ok (Protocol.Result _) -> ()
+    | Ok other ->
+        Alcotest.failf "solve answered %S" (Protocol.print_response other)
+    | Error e -> Alcotest.failf "solve failed: %s" e
+  in
+  List.iter solve [ 4000.0; 5000.0; 4000.0; 5000.0 ];
+  let before = metrics () in
+  Alcotest.(check int) "requests before" 4 (series before "rip_requests_total");
+  Alcotest.(check int) "hits before" 2 (series before "rip_cache_hits");
+  (* Let the poller's last scrape of this incarnation see every request. *)
+  Thread.delay 0.1;
+  crash_first ();
+  wait_until "the router marks the shard down" (fun () -> not (shard_up ()));
+  let stop_second = start_shard () in
+  wait_until "the router sees the shard again" shard_up;
+  solve 4000.0 (* a miss: the new incarnation's cache is cold *);
+  let after = metrics () in
+  Alcotest.(check int) "requests carried" 5 (series after "rip_requests_total");
+  Alcotest.(check int) "solved carried" 5 (series after "rip_solved_total");
+  Alcotest.(check int) "hits carried" 2 (series after "rip_cache_hits");
+  Alcotest.(check int) "misses carried" 3 (series after "rip_cache_misses");
+  List.iter
+    (fun (name, sample) ->
+      let grew =
+        match (sample, List.assoc_opt name after) with
+        | Rip_obs.Metrics.Counter_sample v, Some (Counter_sample v') ->
+            v' >= v
+        | Histogram_sample h, Some (Histogram_sample h') ->
+            h'.count >= h.count && h'.sum >= h.sum
+        | Gauge_sample _, _ -> true
+        | _, _ -> false
+      in
+      Alcotest.(check bool) (name ^ " monotone across the restart") true grew)
+    before;
+  Client.close client;
+  Router.request_shutdown router;
+  Thread.join router_thread;
+  stop_second ();
+  List.iter
+    (fun p -> try Sys.remove p with Sys_error _ -> ())
+    [ shard_sock; router_sock ]
+
 let suite =
   [
     ( "router.ring",
@@ -400,6 +539,11 @@ let suite =
       [
         Alcotest.test_case "hedge and breaker validation" `Quick
           test_router_config_validation;
+      ] );
+    ( "router.cluster",
+      [
+        Alcotest.test_case "cluster counters monotone across a shard restart"
+          `Quick test_router_cluster_counters_survive_restart;
       ] );
     ( "router.trace",
       [
