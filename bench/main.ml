@@ -376,7 +376,7 @@ let run_cluster scale =
     in
     (* Warm pass replayed through an in-process Router over the same
        (already hot) shards: the delta against the direct warm pass is
-       the cost of the extra hop plus the pricing/ring decision.
+       the cost of the extra hop plus the ring decision.
        Returns the loadgen result plus the router's own METRICS
        exposition (hedge counters, forward latency). *)
     let router_pass ?(rconfig = Router.default_config) ?(wl = workload)

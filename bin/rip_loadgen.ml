@@ -114,8 +114,8 @@ let add_totals t (r : Loadgen.result) =
 
 let print_consistency ~before ~after ~hedged (t : totals) =
   let delta name = series after name - series before name in
-  (* A router's own DEGRADED answers (shed, or no shard left) reached no
-     shard, so they count as received and as degraded here. *)
+  (* A router's own DEGRADED answers (no shard left) reached no shard, so
+     they count as received and as degraded here. *)
   let local = delta "rip_router_degraded_total" in
   let requests_delta = delta "rip_requests_total" + local in
   let hits_delta = delta "rip_cache_hits" in

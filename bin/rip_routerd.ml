@@ -6,15 +6,14 @@
 
    Owns the listening socket, spawns and supervises N rip_serviced
    shard processes on Unix sockets (or attaches to externally-managed
-   ones with --attach), routes SOLVE requests by consistent-hashing the
-   net's canonical digest, and admits them by per-shard price (see
+   ones with --attach), and routes SOLVE requests by consistent-hashing
+   the net's canonical digest to the shards its poller sees up (see
    DESIGN.md §6d).  Speaks the same line protocol as rip_serviced, so
    every existing client — rip_loadgen included — works unchanged
    against a cluster. *)
 
 module Router = Rip_router.Router
 module Supervisor = Rip_router.Supervisor
-module Pricing = Rip_router.Pricing
 module Trace = Rip_obs.Trace
 module Wide_event = Rip_obs.Wide_event
 
@@ -69,9 +68,8 @@ let rec parse_attach_all = function
           Result.map (fun pairs -> pair :: pairs) (parse_attach_all rest))
 
 let serve socket_path port host shards shard_dir shard_jobs shard_args attach
-    pool_size poll_interval spill_price shed_price restart_backoff no_hedge
-    hedge_floor_ms breaker_threshold trace_out wide_events wide_sample_ratio
-    wide_latency_threshold_ms =
+    pool_size poll_interval restart_backoff no_hedge hedge_floor_ms trace_out
+    wide_events wide_sample_ratio wide_latency_threshold_ms =
   match parse_attach_all attach with
   | Error e ->
       Printf.eprintf "rip_routerd: %s\n" e;
@@ -159,11 +157,8 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
               Router.default_config with
               pool_size;
               poll_interval;
-              spill_price;
-              shed_price;
               hedge = not no_hedge;
               hedge_delay_floor = hedge_floor_ms /. 1000.0;
-              breaker_threshold;
               tracer;
               spool;
             }
@@ -198,16 +193,15 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
           in
           Printf.printf
             "rip_routerd: listening on %s (%d shards: %s; pool %d, poll \
-             %.2fs, spill at %.2f, shed at %.2f, %s, breaker at %d)\n\
+             %.2fs, %s)\n\
              %!"
             endpoint (List.length specs)
             (String.concat ", "
                (List.map (fun (s : Router.shard_spec) -> s.id) specs))
-            pool_size poll_interval spill_price shed_price
+            pool_size poll_interval
             (if no_hedge then "hedging off"
              else
-               Printf.sprintf "hedge floor %.0f ms" hedge_floor_ms)
-            breaker_threshold;
+               Printf.sprintf "hedge floor %.0f ms" hedge_floor_ms);
           Router.run router listen_fd;
           Thread.join supervisor_thread;
           (match (tracer, trace_out) with
@@ -301,27 +295,19 @@ let pool_size =
         ~doc:"Connections kept open per shard.")
 
 let poll_interval =
+  let down_after = Rip_router.Router.default_config.down_after in
   Arg.(
     value & opt float Rip_router.Router.default_config.poll_interval
     & info [ "poll-interval" ] ~docv:"SECONDS"
-        ~doc:"Pricing / liveness tick: how often the router scrapes each \
-              shard's METRICS to feed its price controller and failure \
-              detector.")
-
-let spill_price =
-  Arg.(
-    value & opt float Rip_router.Router.default_config.spill_price
-    & info [ "spill-price" ] ~docv:"PRICE"
-        ~doc:"A primary shard priced at or above this may lose the request \
-              to the key's second-choice shard when that one is cheaper.")
-
-let shed_price =
-  Arg.(
-    value & opt float Rip_router.Router.default_config.shed_price
-    & info [ "shed-price" ] ~docv:"PRICE"
-        ~doc:"Once every candidate shard is priced at or above this the \
-              router answers DEGRADED (overload) from its own fallback \
-              tier instead of forwarding.")
+        ~doc:
+          (Printf.sprintf
+             "Liveness tick: how often the router scrapes each shard's \
+              METRICS.  A shard that misses %d polls in a row is marked \
+              down and gets no traffic until it answers again.  Every poll \
+              (and every other control-plane exchange with a shard) times \
+              out after %d ticks, so a hung shard is marked down within \
+              about %d bounded polls."
+             down_after down_after down_after))
 
 let restart_backoff =
   Arg.(
@@ -347,14 +333,6 @@ let hedge_floor_ms =
         ~doc:"Lower bound on the hedge delay, so a cold or cache-hit-fast \
               forward histogram cannot hedge every request.")
 
-let breaker_threshold =
-  Arg.(
-    value & opt int Rip_router.Router.default_config.breaker_threshold
-    & info [ "breaker-threshold" ] ~docv:"N"
-        ~doc:"Consecutive transport failures that open a shard's circuit \
-              breaker, removing it from the candidate set until a \
-              successful poll half-opens it again.")
-
 let trace_out =
   Arg.(
     value
@@ -374,8 +352,8 @@ let wide_events =
     & opt (some string) None
     & info [ "wide-events" ] ~docv:"FILE"
         ~doc:"Emit one structured wide-event JSON line per routed SOLVE \
-              (target shard, outcome, hedge/failover/spill/breaker \
-              involvement, deadline slack) to this bounded spool, \
+              (target shard, outcome, hedge/failover involvement, \
+              deadline slack) to this bounded spool, \
               tail-sampled like rip_serviced's.  A $(docv) ending in '/' \
               writes wide-router.jsonl inside it.  Query offline with \
               rip_trace query.")
@@ -401,12 +379,11 @@ let main =
   Cmd.v
     (Cmd.info "rip_routerd" ~version:"1.0.0"
        ~doc:"Sharded solve-cluster front end: consistent-hash routing over \
-             supervised rip_serviced shards with price-based admission")
+             supervised rip_serviced shards with failover and hedging")
     Term.(
       const serve $ socket_path $ port $ host $ shards $ shard_dir
       $ shard_jobs $ shard_args $ attach $ pool_size $ poll_interval
-      $ spill_price $ shed_price $ restart_backoff $ no_hedge
-      $ hedge_floor_ms $ breaker_threshold $ trace_out $ wide_events
+      $ restart_backoff $ no_hedge $ hedge_floor_ms $ trace_out $ wide_events
       $ wide_sample_ratio $ wide_latency_threshold_ms)
 
 let () = exit (Cmd.eval' main)

@@ -48,8 +48,6 @@ type filter = {
   trace_id : string option;
   hedged : bool;
   failover : bool;
-  spilled : bool;
-  breaker_skip : bool;
   min_latency : float;  (* seconds *)
 }
 
@@ -60,8 +58,6 @@ let matches f (e : Wide_event.t) =
   && opt_eq f.trace_id e.trace_id
   && ((not f.hedged) || e.hedged)
   && ((not f.failover) || e.failover)
-  && ((not f.spilled) || e.spilled)
-  && ((not f.breaker_skip) || e.breaker_skip)
   && e.latency >= f.min_latency
 
 let count_by key events =
@@ -79,8 +75,8 @@ let percentile sorted q =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1 |> max 0))
 
-let run_query files outcome shard process trace_id hedged failover spilled
-    breaker_skip min_latency_ms print_lines =
+let run_query files outcome shard process trace_id hedged failover
+    min_latency_ms print_lines =
   if files = [] then begin
     prerr_endline "rip_trace: query needs at least one spool file";
     2
@@ -94,8 +90,6 @@ let run_query files outcome shard process trace_id hedged failover spilled
         trace_id;
         hedged;
         failover;
-        spilled;
-        breaker_skip;
         min_latency = min_latency_ms /. 1000.0;
       }
     in
@@ -125,8 +119,6 @@ let run_query files outcome shard process trace_id hedged failover spilled
       flag "hedged" (fun (e : Wide_event.t) -> e.hedged);
       flag "hedge_won" (fun (e : Wide_event.t) -> e.hedge_won);
       flag "failover" (fun (e : Wide_event.t) -> e.failover);
-      flag "spilled" (fun (e : Wide_event.t) -> e.spilled);
-      flag "breaker_skip" (fun (e : Wide_event.t) -> e.breaker_skip);
       let lat =
         List.map (fun (e : Wide_event.t) -> e.latency) hits |> Array.of_list
       in
@@ -288,15 +280,6 @@ let query_cmd =
   let failover =
     Arg.(value & flag & info [ "failover" ] ~doc:"Failover events only.")
   in
-  let spilled =
-    Arg.(value & flag & info [ "spilled" ] ~doc:"Price-spilled events only.")
-  in
-  let breaker_skip =
-    Arg.(
-      value & flag
-      & info [ "breaker-skip" ]
-          ~doc:"Events whose primary shard was skipped by an open breaker.")
-  in
   let min_latency_ms =
     Arg.(
       value & opt float 0.0
@@ -313,12 +296,12 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~doc:"Filter and aggregate --wide-events spools.  Interesting events \
-             (non-fresh/cached outcomes, hedge/failover/spill/breaker \
-             involvement) are spooled at 100%, so their counts here are \
-             exact, not estimates.")
+             (non-fresh/cached outcomes, hedge/failover involvement) are \
+             spooled at 100%, so their counts here are exact, not \
+             estimates.")
     Term.(
       const run_query $ files $ outcome $ shard $ process $ trace_id $ hedged
-      $ failover $ spilled $ breaker_skip $ min_latency_ms $ print_lines)
+      $ failover $ min_latency_ms $ print_lines)
 
 let check_cmd =
   let require_multi =

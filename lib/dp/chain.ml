@@ -38,7 +38,6 @@ let create geometry repeater ~candidates =
   }
 
 let site_count t = Array.length t.positions
-let interior_count t = site_count t - 2
 let is_interior t i = i > 0 && i < site_count t - 1
 
 let stage_delay t ~from_site ~from_width ~to_site ~to_width =

@@ -26,8 +26,6 @@ val create :
 val site_count : t -> int
 (** Number of positions including driver and receiver. *)
 
-val interior_count : t -> int
-
 val stage_delay :
   t -> from_site:int -> from_width:float -> to_site:int -> to_width:float ->
   float

@@ -107,16 +107,44 @@ let capacitance_between g a b =
   check_ordered "capacitance_between" a b;
   if a >= b then 0.0 else c_at g b -. c_at g a
 
-(* D(a,b) = int_a^b r (C(b) - C(t)) dt = (R(b)-R(a)) C(b) - (P(b)-P(a)). *)
+(* D(a,b) = int_a^b r (C(b) - C(t)) dt.  The prefix form
+   (R(b)-R(a)) C(b) - (P(b)-P(a)) subtracts quantities that grow with the
+   distance from the driver, so on a short span far down the net it
+   cancels away most of its digits.  A span over at most
+   [summed_pieces] segments is summed piece by piece instead, walking
+   back from b: a piece of length l inside one segment adds
+   r l (c l / 2 + C(piece end, b)) — r c l^2 / 2 alone when a and b
+   share a segment — which involves no cancellation.  Longer spans are
+   long enough for the prefix form. *)
+let summed_pieces = 8
+
 let wire_elmore_between g a b =
   check_ordered "wire_elmore_between" a b;
   if a >= b then 0.0
   else
-    let d =
-      ((r_at g b -. r_at g a) *. c_at g b) -. (p_at g b -. p_at g a)
-    in
-    (* Exact value is non-negative; cancellation can leave a tiny negative. *)
-    Float.max 0.0 d
+    let a = clamp g a and b = clamp g b in
+    let segments = g.net.Net.segments in
+    let first = boundary_index g a in
+    let last = min (boundary_index g b) (Array.length segments - 1) in
+    if last - first < summed_pieces then begin
+      let d = ref 0.0 and downstream = ref 0.0 in
+      for k = last downto first do
+        let s = segments.(k) in
+        let l = Float.min b g.starts.(k + 1) -. Float.max a g.starts.(k) in
+        let c_piece = s.Segment.capacitance_per_um *. l in
+        d := !d +. (s.Segment.resistance_per_um *. l
+                    *. ((0.5 *. c_piece) +. !downstream));
+        downstream := !downstream +. c_piece
+      done;
+      !d
+    end
+    else
+      let d =
+        ((r_at g b -. r_at g a) *. c_at g b) -. (p_at g b -. p_at g a)
+      in
+      (* Exact value is non-negative; cancellation can leave a tiny
+         negative. *)
+      Float.max 0.0 d
 
 let cumulative_resistance = r_at
 let cumulative_capacitance = c_at

@@ -18,8 +18,6 @@ type t = {
   hedged : bool;
   hedge_won : bool;
   failover : bool;
-  spilled : bool;
-  breaker_skip : bool;  (* an open breaker excluded the primary shard *)
   dp_backend : string;
   labels_pruned : int;
   queue_wait : float;  (* seconds *)
@@ -40,8 +38,6 @@ let empty =
     hedged = false;
     hedge_won = false;
     failover = false;
-    spilled = false;
-    breaker_skip = false;
     dp_backend = "";
     labels_pruned = 0;
     queue_wait = 0.0;
@@ -63,8 +59,6 @@ let to_json event =
       ("hedged", Json.Bool event.hedged);
       ("hedge_won", Json.Bool event.hedge_won);
       ("failover", Json.Bool event.failover);
-      ("spilled", Json.Bool event.spilled);
-      ("breaker_skip", Json.Bool event.breaker_skip);
       ("dp_backend", Json.String event.dp_backend);
       ("labels_pruned", Json.Int event.labels_pruned);
       ("queue_wait", Json.Float event.queue_wait);
@@ -113,8 +107,6 @@ let of_line line =
               hedged = flag "hedged";
               hedge_won = flag "hedge_won";
               failover = flag "failover";
-              spilled = flag "spilled";
-              breaker_skip = flag "breaker_skip";
               dp_backend = str "dp_backend" "";
               labels_pruned = int "labels_pruned" 0;
               queue_wait = num "queue_wait" 0.0;
@@ -142,8 +134,7 @@ let interesting event =
   (match event.outcome with
   | "fresh" | "cached" -> false
   | _ -> true)
-  || event.hedged || event.hedge_won || event.failover || event.spilled
-  || event.breaker_skip
+  || event.hedged || event.hedge_won || event.failover
 
 (* Deterministic [0,1) from the event identity — no wall clock, no
    PRNG state, so a replayed workload samples identically. *)

@@ -8,8 +8,8 @@
    key range.  Each shard owns [vnodes_per_weight * weight] virtual
    nodes; a key is served by the first vnode clockwise from its
    position, and its second choice is the next vnode belonging to a
-   *different* shard — the spill target that still leaves every other
-   shard's key range untouched.
+   *different* shard — the failover and hedge target, which leaves every
+   other shard's key range untouched.
 
    Membership edits are functional ([add]/[remove] return a new ring):
    the router swaps the ring atomically under its mutex and readers
@@ -32,13 +32,10 @@ let position_of_string s =
      reads in digests orders the same way the ring does. *)
   String.get_int64_be (Digest.string s) 0
 
-let key_position key = position_of_string key
-
 let vnode_position id index =
   position_of_string (Printf.sprintf "%s#%d" id index)
 
 let members t = t.members
-let vnodes_per_weight t = t.vnodes_per_weight
 let size t = List.length t.members
 let vnode_count t = Array.length t.positions
 
@@ -107,13 +104,13 @@ let successor t pos =
 
 let lookup t key =
   if Array.length t.positions = 0 then None
-  else Some t.owners.(successor t (key_position key))
+  else Some t.owners.(successor t (position_of_string key))
 
 let lookup_pair t key =
   let n = Array.length t.positions in
   if n = 0 then None
   else
-    let first = successor t (key_position key) in
+    let first = successor t (position_of_string key) in
     let primary = t.owners.(first) in
     let rec next i steps =
       if steps >= n then None

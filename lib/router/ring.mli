@@ -36,7 +36,8 @@ val lookup : t -> string -> string option
 
 val lookup_pair : t -> string -> (string * string option) option
 (** [(primary, second_choice)]: the owner plus the next *distinct*
-    shard clockwise — the spill target.  The second component is [None]
+    shard clockwise — the failover and hedge target.  The second
+    component is [None]
     when the ring has a single shard. *)
 
 val members : t -> (string * int) list
@@ -44,12 +45,7 @@ val size : t -> int
 (** Member shards (not vnodes). *)
 
 val vnode_count : t -> int
-val vnodes_per_weight : t -> int
 
 val shares : t -> (string * float) list
 (** Exact fraction of the keyspace each shard owns (arc lengths; sums
     to 1 on a non-empty ring) — what the balance property tests bound. *)
-
-val key_position : string -> int64
-(** The ring position of a routing key (first 8 bytes of its MD5,
-    big-endian, compared unsigned) — exposed for tests. *)

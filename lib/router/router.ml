@@ -3,34 +3,27 @@
    Requests route by consistent-hashing the net's canonical digest over
    the shard ring — the same net always lands on the same shard, so
    each shard's LRU solve cache stays hot for its own key range instead
-   of every shard caching a diluted copy of everything.
+   of every shard caching a diluted copy of everything.  The key's
+   primary takes the request while the poller sees it up; the next
+   distinct shard clockwise is its failover and hedge target, so no
+   third shard's key range is disturbed.
 
-   Admission is price-based rather than a static high-water mark.  A
-   poller thread scrapes each shard's METRICS on a fixed tick, feeds the
-   delta to the shard's {!Pricing} controller, and the resulting prices
-   drive three-way decisions on the request path:
+   The router admits everything it is sent.  Overload is the shards'
+   business: each answers BUSY past its queue depth and DEGRADED
+   (overload) past its high-water mark, and the router relays those
+   answers as they are.
 
-     - primary price below [spill_price]       -> forward to the primary
-     - primary expensive, second choice cheaper -> spill to the second
-       choice (the next distinct shard clockwise, so no third shard's
-       key range is disturbed)
-     - every candidate above [shed_price]       -> answer DEGRADED
-       (overload) from the router's own analytic fallback tier rather
-       than queue behind a saturated cluster
-
-   With a single shard there is no spill target and pricing alone would
-   shed too eagerly, so the shard's static high-water mark keeps its
-   original role as the floor: the router only sheds when the price
-   says so *and* the shard's last-reported in-flight count is at or
-   past its high-water mark.
-
-   The same poller doubles as the failure detector.  A shard that
-   misses [down_after] consecutive polls is marked down (no longer a
-   forward target); after [remove_after] further misses it is removed
-   from the ring so its keyspace arcs fall to the survivors (a
-   rebalance, counted).  A recovered shard is re-added, reclaiming
-   exactly its old arcs — consistent hashing makes both transitions
-   minimal.  A transport failure on the request path fails over to the
+   A poller thread scrapes each shard's METRICS on a fixed tick and is
+   the one failure detector.  A shard that misses [down_after]
+   consecutive polls is marked down (no longer a forward target); after
+   [remove_after] further misses it is removed from the ring so its
+   keyspace arcs fall to the survivors (a rebalance, counted).  A
+   recovered shard is re-added, reclaiming exactly its old arcs —
+   consistent hashing makes both transitions minimal.  Every
+   control-plane exchange (METRICS, HEALTH) runs on a connection pool
+   of its own with a socket timeout of [poll_interval * down_after], so
+   a hung shard costs a poll no more than the detection window it is
+   judged by.  A transport failure on the request path fails over to the
    other candidate immediately; when no candidate is left the router
    answers DEGRADED (worker lost) locally.  The router never drops a
    request on the floor. *)
@@ -50,19 +43,15 @@ type shard_spec = { id : string; socket : string; weight : int }
 type config = {
   pool_size : int;  (* connections kept per shard *)
   request_timeout : float;  (* per-forward socket timeout, seconds *)
-  poll_interval : float;  (* pricing / liveness tick, seconds *)
+  poll_interval : float;  (* liveness tick, seconds *)
   vnodes_per_weight : int;
-  spill_price : float;  (* primary above this may spill *)
-  shed_price : float;  (* every candidate above this sheds *)
   down_after : int;  (* missed polls before a shard is down *)
   remove_after : int;  (* further misses before ring removal *)
-  pricing : Pricing.config;
   solver : Rip_core.Config.t option;  (* for the local fallback tier *)
   max_frame_bytes : int;
-  hedge : bool;  (* hedge slow forwards onto the spill target *)
+  hedge : bool;  (* hedge slow forwards onto the failover candidate *)
   hedge_delay_floor : float;  (* seconds; hedge delay never below this *)
   hedge_delay_factor : float;  (* hedge delay = factor * forward p99 *)
-  breaker_threshold : int;  (* consecutive transport failures to open *)
   tracer : Trace.t option;  (* ingress/forward spans + TRACE propagation *)
   spool : Wide_event.spool option;  (* one wide event per request *)
 }
@@ -73,30 +62,16 @@ let default_config =
     request_timeout = 60.0;
     poll_interval = 0.25;
     vnodes_per_weight = Ring.default_vnodes_per_weight;
-    spill_price = 4.0;
-    shed_price = 16.0;
     down_after = 2;
     remove_after = 8;
-    pricing = Pricing.default_config;
     solver = None;
     max_frame_bytes = Wire.default_max_frame_bytes;
     hedge = true;
     hedge_delay_floor = 0.05;
     hedge_delay_factor = 1.5;
-    breaker_threshold = 3;
     tracer = None;
     spool = None;
   }
-
-(* The circuit breaker shadows the poller's failure detector on a much
-   faster clock: the poller needs [down_after] ticks to mark a shard
-   down, but [breaker_threshold] consecutive transport failures on the
-   request path trip the breaker immediately, taking the shard out of
-   the candidate set before more requests burn a timeout each.  A
-   successful poll while open moves to half-open (the poller is the
-   probe); the next forwarded request decides — success closes,
-   failure re-opens. *)
-type breaker_state = Breaker_closed | Breaker_open | Breaker_half_open
 
 (* One METRICS answer of a shard.  The poller reads only its scalars;
    the whole body is parsed when the cluster view needs it. *)
@@ -104,8 +79,8 @@ type scrape = { body : string; scalars : (string * float) list }
 
 type shard = {
   spec : shard_spec;
-  pool : Client.Pool.t;
-  pricing : Pricing.t;
+  pool : Client.Pool.t;  (* SOLVE forwards *)
+  control : Client.Pool.t;  (* METRICS / HEALTH; timeout poll x down_after *)
   inst : Router_metrics.shard_instruments;
   (* The remaining fields are guarded by the router mutex. *)
   mutable up : bool;
@@ -113,12 +88,9 @@ type shard = {
   mutable down_polls : int;
   mutable in_ring : bool;
   mutable last_scrape : scrape option;
-      (* this incarnation's latest METRICS; None after a restart *)
-  mutable last_poll_at : float;  (* monotonic; 0 before the first poll *)
+      (* the latest METRICS answer; None until the first one *)
   mutable queue_bound : int;  (* the shard's --queue-depth (HEALTH) *)
   mutable high_water : int;  (* the shard's --high-water (HEALTH) *)
-  mutable breaker : breaker_state;
-  mutable breaker_failures : int;  (* consecutive transport failures *)
 }
 
 type t = {
@@ -149,14 +121,10 @@ let create ?(config = default_config) ~shards process =
     invalid_arg "Router.create: poll_interval must be positive";
   if config.down_after < 1 || config.remove_after < 1 then
     invalid_arg "Router.create: down_after and remove_after must be >= 1";
-  if not (config.spill_price > 0.0 && config.shed_price >= config.spill_price)
-  then invalid_arg "Router.create: need 0 < spill_price <= shed_price";
   if config.hedge_delay_floor < 0.0 || config.hedge_delay_factor <= 0.0 then
     invalid_arg
       "Router.create: hedge_delay_floor must be >= 0 and hedge_delay_factor \
        positive";
-  if config.breaker_threshold < 1 then
-    invalid_arg "Router.create: breaker_threshold must be >= 1";
   let ring =
     Ring.create ~vnodes_per_weight:config.vnodes_per_weight
       (List.map (fun s -> (s.id, s.weight)) shards)
@@ -164,29 +132,28 @@ let create ?(config = default_config) ~shards process =
   let metrics =
     Router_metrics.create ~shard_ids:(List.map (fun s -> s.id) shards) ()
   in
+  let control_timeout =
+    config.poll_interval *. float_of_int config.down_after
+  in
   let shard_states =
     Array.of_list
       (List.map
          (fun spec ->
-           let socket = spec.socket in
+           let connect timeout () = Client.connect_unix ~timeout spec.socket in
            {
              spec;
              pool =
-               Client.Pool.create ~timeout:config.request_timeout
-                 ~size:config.pool_size (fun () ->
-                   Client.connect_unix socket);
-             pricing = Pricing.create ~config:config.pricing ();
+               Client.Pool.create ~size:config.pool_size
+                 (connect config.request_timeout);
+             control = Client.Pool.create ~size:1 (connect control_timeout);
              inst = Router_metrics.shard metrics spec.id;
              up = true;
              missed_polls = 0;
              down_polls = 0;
              in_ring = true;
              last_scrape = None;
-             last_poll_at = 0.0;
              queue_bound = 64;
              high_water = 48;
-             breaker = Breaker_closed;
-             breaker_failures = 0;
            })
          shards)
   in
@@ -207,7 +174,6 @@ let create ?(config = default_config) ~shards process =
   }
 
 let metrics t = t.metrics
-let shard_count t = Array.length t.shards
 
 let stopping t =
   Mutex.lock t.mutex;
@@ -215,10 +181,10 @@ let stopping t =
   Mutex.unlock t.mutex;
   s
 
-(* --- Poller: pricing + failure detection ---------------------------------- *)
+(* --- Poller: failure detection ------------------------------------------- *)
 
 let refresh_bounds t shard =
-  match Client.Pool.request shard.pool Protocol.Health with
+  match Client.Pool.request shard.control Protocol.Health with
   | Ok (Protocol.Health_frame h) ->
       Mutex.lock t.mutex;
       shard.queue_bound <- h.Protocol.health_queue_depth;
@@ -240,53 +206,16 @@ let mark_recovered t shard =
   Obs.Gauge.set shard.inst.up 1.0;
   if re_add then Obs.Counter.incr t.metrics.rebalances
 
-(* --- Circuit breaker ------------------------------------------------------- *)
-
-let breaker_gauge = function
-  | Breaker_closed -> 0.0
-  | Breaker_open -> 1.0
-  | Breaker_half_open -> 2.0
-
-(* [available] is the request path's view of a shard: poller liveness
-   AND a breaker that is not open.  Half-open admits traffic — the next
-   forward is the probe that decides.  Callers hold the router mutex. *)
-let available shard = shard.up && shard.breaker <> Breaker_open
-
 let shard_available t shard =
   Mutex.lock t.mutex;
-  let a = available shard in
+  let up = shard.up in
   Mutex.unlock t.mutex;
-  a
-
-let note_forward_ok t shard =
-  Mutex.lock t.mutex;
-  shard.breaker_failures <- 0;
-  let closed = shard.breaker <> Breaker_closed in
-  shard.breaker <- Breaker_closed;
-  Mutex.unlock t.mutex;
-  if closed then
-    Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_closed)
-
-let note_forward_error t shard =
-  Mutex.lock t.mutex;
-  shard.breaker_failures <- shard.breaker_failures + 1;
-  let opened =
-    match shard.breaker with
-    | Breaker_closed -> shard.breaker_failures >= t.config.breaker_threshold
-    | Breaker_half_open -> true  (* the probe failed; snap back open *)
-    | Breaker_open -> false
-  in
-  if opened then shard.breaker <- Breaker_open;
-  Mutex.unlock t.mutex;
-  if opened then begin
-    Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_open);
-    Obs.Counter.incr shard.inst.breaker_opens
-  end
+  up
 
 let series scrape name =
   Option.value ~default:0.0 (List.assoc_opt name scrape.scalars)
 
-let on_scrape t shard now scrape =
+let on_scrape t shard scrape =
   let was_down =
     Mutex.lock t.mutex;
     let d = not shard.up in
@@ -294,63 +223,35 @@ let on_scrape t shard now scrape =
     d
   in
   if was_down then begin
-    (* Back from the dead: a new incarnation, with fresh counters and
-       possibly a different configuration. *)
+    (* Back from the dead (or from a hang): possibly a new incarnation,
+       with fresh counters and a different configuration, whose
+       predecessor's idle forward connections are dead.  Drop them
+       before traffic returns, so the next forward dials afresh instead
+       of failing over. *)
     refresh_bounds t shard;
+    Client.Pool.drain shard.pool;
     mark_recovered t shard
   end;
   Mutex.lock t.mutex;
   shard.missed_polls <- 0;
-  (* An answered poll is the open breaker's probe: move to half-open so
-     the next forwarded request decides (success closes, failure snaps
-     back open). *)
-  let half_opened =
-    match shard.breaker with
-    | Breaker_open ->
-        shard.breaker <- Breaker_half_open;
+  (* Restart detection: uptime or the request count went backwards —
+     carry the dead incarnation's last counts so the cluster view stays
+     monotone. *)
+  let restarted =
+    match shard.last_scrape with
+    | Some prev
+      when series scrape "rip_uptime_seconds"
+           < series prev "rip_uptime_seconds"
+           || series scrape "rip_requests_total"
+              < series prev "rip_requests_total" ->
+        t.carried <-
+          Obs.Exposition.(add t.carried (cumulative (parse prev.body)));
         true
     | _ -> false
   in
-  (* Restart detection: uptime or the request count went backwards —
-     carry the dead incarnation's last counts so the cluster view stays
-     monotone, and delta from zero. *)
-  (match shard.last_scrape with
-  | Some prev
-    when series scrape "rip_uptime_seconds" < series prev "rip_uptime_seconds"
-         || series scrape "rip_requests_total"
-            < series prev "rip_requests_total" ->
-      t.carried <-
-        Obs.Exposition.(add t.carried (cumulative (parse prev.body)));
-      shard.last_scrape <- None
-  | _ -> ());
-  let observation =
-    let delta name =
-      let prev =
-        match shard.last_scrape with Some p -> series p name | None -> 0.0
-      in
-      int_of_float (series scrape name -. prev)
-    in
-    let seconds =
-      if shard.last_poll_at > 0.0 then now -. shard.last_poll_at
-      else t.config.poll_interval
-    in
-    {
-      Pricing.seconds;
-      completed = delta "rip_solved_total";
-      degraded = delta "rip_degraded_total";
-      timeouts = delta "rip_timeouts_total";
-      busy = delta "rip_rejected_busy_total";
-      in_flight = int_of_float (series scrape "rip_in_flight");
-      queue_depth = shard.queue_bound;
-    }
-  in
   shard.last_scrape <- Some scrape;
-  shard.last_poll_at <- now;
-  let price = Pricing.observe shard.pricing observation in
   Mutex.unlock t.mutex;
-  if half_opened then
-    Obs.Gauge.set shard.inst.breaker_state (breaker_gauge Breaker_half_open);
-  Obs.Gauge.set shard.inst.price price
+  if restarted then Client.Pool.drain shard.pool
 
 let on_poll_failure t shard =
   Mutex.lock t.mutex;
@@ -379,28 +280,28 @@ let on_poll_failure t shard =
   if removed then Obs.Counter.incr t.metrics.rebalances
 
 let scrape shard =
-  match Client.Pool.request shard.pool Protocol.Metrics with
+  match Client.Pool.request shard.control Protocol.Metrics with
   | Ok (Protocol.Metrics_frame body) ->
       Some { body; scalars = Obs.parse_scalars body }
   | Ok _ | Error _ -> None
 
 let poll_shard t shard =
-  let now = Cpu_clock.monotonic_seconds () in
   match scrape shard with
-  | Some scrape -> on_scrape t shard now scrape
+  | Some scrape -> on_scrape t shard scrape
   | None -> on_poll_failure t shard
 
 let rec poll_loop t =
   if not (stopping t) then begin
     Array.iter
       (fun shard ->
-        let never_polled =
+        (* Until the shard first answers a poll, learn its bounds too. *)
+        let unscraped =
           Mutex.lock t.mutex;
-          let b = shard.last_poll_at <= 0.0 && shard.up in
+          let b = Option.is_none shard.last_scrape && shard.up in
           Mutex.unlock t.mutex;
           b
         in
-        if never_polled then refresh_bounds t shard;
+        if unscraped then refresh_bounds t shard;
         poll_shard t shard)
       t.shards;
     Thread.delay t.config.poll_interval;
@@ -409,12 +310,13 @@ let rec poll_loop t =
 
 (* --- Local degraded answers ------------------------------------------------ *)
 
-let degraded_response t ~budget ~net ~shed reason =
+(* Every candidate shard is gone: the router answers DEGRADED from its
+   own analytic fallback tier rather than drop the request. *)
+let worker_lost t ~budget ~net =
   Obs.Counter.incr t.metrics.local_degraded;
-  if shed then Obs.Counter.incr t.metrics.shed;
   Protocol.Degraded
     {
-      reason;
+      reason = Protocol.Worker_lost;
       solution =
         Fallback.solution ~process:t.process ?solver:t.config.solver ~budget
           ~net ();
@@ -423,73 +325,26 @@ let degraded_response t ~budget ~net ~shed reason =
 (* --- Request routing ------------------------------------------------------- *)
 
 let find_shard t id =
-  let found = ref None in
-  Array.iter
-    (fun s -> if String.equal s.spec.id id then found := Some s)
-    t.shards;
-  match !found with
+  match Array.find_opt (fun s -> String.equal s.spec.id id) t.shards with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Router: unknown shard %s" id)
 
-type routing =
-  | Forward of {
-      target : shard;
-      failover : shard option;
-      spilled : bool;
-      breaker_skip : bool;  (* the key's primary was skipped breaker-open *)
-    }
-  | Shed
-  | No_candidate
-
-(* The shard's original static mark keeps its role as the pricing
-   floor: with a single shard there is no spill target and a young
-   price controller would shed too eagerly, so shedding additionally
-   requires the shard's last-reported in-flight count to have reached
-   its high-water mark. *)
-let floor_reached shard =
-  match shard.last_scrape with
-  | Some s -> int_of_float (series s "rip_in_flight") >= shard.high_water
-  | None -> false
-
+(* The key's primary while the poller sees it up, with its second choice
+   as failover; the second choice alone when the primary is down. *)
 let route t key =
   Mutex.lock t.mutex;
   let decision =
     match Ring.lookup_pair t.ring key with
-    | None -> No_candidate
+    | None -> None
     | Some (primary_id, secondary_id) -> (
         let primary = find_shard t primary_id in
-        let secondary = Option.map (find_shard t) secondary_id in
-        let secondary_up =
-          match secondary with Some s when available s -> Some s | _ -> None
+        let secondary =
+          match Option.map (find_shard t) secondary_id with
+          | Some s when s.up -> Some s
+          | _ -> None
         in
-        if not (available primary) then
-          match secondary_up with
-          | Some s ->
-              Forward
-                {
-                  target = s;
-                  failover = None;
-                  spilled = false;
-                  breaker_skip = primary.breaker = Breaker_open;
-                }
-          | None -> No_candidate
-        else
-          let p_primary = Pricing.price primary.pricing in
-          let target, failover, spilled =
-            if p_primary < t.config.spill_price then
-              (primary, secondary_up, false)
-            else
-              match secondary_up with
-              | Some s when Pricing.price s.pricing < p_primary ->
-                  (s, Some primary, true)
-              | _ -> (primary, secondary_up, false)
-          in
-          let price = Pricing.price target.pricing in
-          if price >= t.config.shed_price then
-            if Array.length t.shards = 1 && not (floor_reached target) then
-              Forward { target; failover; spilled; breaker_skip = false }
-            else Shed
-          else Forward { target; failover; spilled; breaker_skip = false })
+        if primary.up then Some (primary, secondary)
+        else match secondary with Some s -> Some (s, None) | None -> None)
   in
   Mutex.unlock t.mutex;
   decision
@@ -503,13 +358,10 @@ let forward ?(args = []) t shard frame =
   in
   (match result with
   | Ok _ ->
-      note_forward_ok t shard;
       Obs.Counter.incr shard.inst.forwarded;
       Obs.Histogram.observe t.metrics.forward_seconds
         (Cpu_clock.monotonic_seconds () -. started)
-  | Error _ ->
-      note_forward_error t shard;
-      Obs.Counter.incr shard.inst.failovers);
+  | Error _ -> Obs.Counter.incr shard.inst.failovers);
   result
 
 (* --- Hedged forwards ------------------------------------------------------- *)
@@ -517,8 +369,8 @@ let forward ?(args = []) t shard frame =
 (* Tail tolerance: once a forward has been in flight longer than the
    hedge delay — derived from the p99 of recent forward round-trips,
    floored so a cold histogram cannot hedge everything — the same
-   request is issued to the failover candidate (the spill target, whose
-   cache the key would land on anyway) and the first answer wins.  The
+   request is issued to the failover candidate (the key's second choice,
+   whose cache the key would land on anyway) and the first answer wins.  The
    loser is not torn down mid-flight: its connection completes in the
    background inside its pool slot and the late answer is discarded,
    which keeps the pool invariant (one request per checkout) intact.
@@ -669,7 +521,6 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
   let obs =
     { o_shard = ""; o_hedged = false; o_hedge_won = false; o_failover = false }
   in
-  let spilled_flag = ref false and breaker_flag = ref false in
   let ingress_parent =
     match context with
     | Some c -> c.Trace.parent_span_id
@@ -681,15 +532,9 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
       "ingress"
       (fun () ->
         match route t key with
-        | No_candidate ->
-            (* Every shard is gone; the router still answers. *)
-            degraded_response t ~budget ~net ~shed:false Protocol.Worker_lost
-        | Shed -> degraded_response t ~budget ~net ~shed:true Protocol.Overload
-        | Forward { target; failover; spilled; breaker_skip } -> (
+        | None -> worker_lost t ~budget ~net
+        | Some (target, failover) -> (
             obs.o_shard <- target.spec.id;
-            spilled_flag := spilled;
-            breaker_flag := breaker_skip;
-            if spilled then Obs.Counter.incr target.inst.spills;
             let hedge_target =
               if t.config.hedge then
                 match failover with
@@ -708,8 +553,7 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
                 | Error _ ->
                     (* Both candidates were already tried inside the
                        hedge. *)
-                    degraded_response t ~budget ~net ~shed:false
-                      Protocol.Worker_lost)
+                    worker_lost t ~budget ~net)
             | None -> (
                 match
                   forward ~args:(fwd_args target) t target (frame_for target)
@@ -727,16 +571,12 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
                             (frame_for other)
                         with
                         | Ok response -> response
-                        | Error _ ->
-                            degraded_response t ~budget ~net ~shed:false
-                              Protocol.Worker_lost)
-                    | _ ->
-                        degraded_response t ~budget ~net ~shed:false
-                          Protocol.Worker_lost))))
+                        | Error _ -> worker_lost t ~budget ~net)
+                    | _ -> worker_lost t ~budget ~net))))
   in
   (* Exactly one wide event per request through the router, always kept
      by the tail sampler when anything interesting happened (degraded,
-     hedged, failover, spill, breaker skip), so offline [rip_trace
+     hedged, failover), so offline [rip_trace
      query] counts reconcile exactly with the load generator's. *)
   (match t.config.spool with
   | None -> ()
@@ -768,8 +608,6 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
           hedged = obs.o_hedged;
           hedge_won = obs.o_hedge_won;
           failover = obs.o_failover;
-          spilled = !spilled_flag;
-          breaker_skip = !breaker_flag;
           latency = finished -. started;
           deadline_slack =
             (match deadline_ms with
@@ -782,20 +620,19 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
 
 (* The METRICS answer: the router's own series, then the cluster view —
    every series the shards expose, under its own name, summed over each
-   shard's live scrape (its last one when it does not answer) plus the
-   counts carried from dead incarnations.  Answers the router produced
+   up shard's live scrape (the last one of a down or silent shard) plus
+   the counts carried from dead incarnations.  Answers the router produced
    itself reached no shard; they are in rip_router_degraded_total. *)
 let render_metrics t =
   let live =
     Array.map
       (fun shard ->
-        match scrape shard with
+        Mutex.lock t.mutex;
+        let up = shard.up and last = shard.last_scrape in
+        Mutex.unlock t.mutex;
+        match if up then scrape shard else None with
         | Some s -> Some s
-        | None ->
-            Mutex.lock t.mutex;
-            let last = shard.last_scrape in
-            Mutex.unlock t.mutex;
-            last)
+        | None -> last)
       t.shards
   in
   Mutex.lock t.mutex;
@@ -811,6 +648,8 @@ let render_metrics t =
   Router_metrics.render t.metrics
   ^ Obs.Exposition.render (Obs.Exposition.add cluster carried)
 
+(* The HEALTH answer: [shard_id = "router"], queue depth and high-water
+   the sums of the shards' bounds. *)
 let health t =
   Mutex.lock t.mutex;
   let in_flight = t.in_flight in
@@ -938,5 +777,9 @@ let run t listen_fd =
     Mutex.unlock t.mutex;
     List.iter Thread.join threads;
     Option.iter Thread.join poller;
-    Array.iter (fun shard -> Client.Pool.close_all shard.pool) t.shards
+    Array.iter
+      (fun shard ->
+        Client.Pool.close_all shard.pool;
+        Client.Pool.close_all shard.control)
+      t.shards
   end

@@ -18,17 +18,12 @@ let sanitize id =
 type shard_instruments = {
   forwarded : Obs.Counter.t;  (* requests relayed to this shard *)
   failovers : Obs.Counter.t;  (* transport failures that triggered a retry elsewhere *)
-  spills : Obs.Counter.t;  (* requests priced off this primary to its second choice *)
-  price : Obs.Gauge.t;
   up : Obs.Gauge.t;  (* 1 while the shard answers its polls *)
-  breaker_state : Obs.Gauge.t;  (* 0 closed, 1 open, 2 half-open *)
-  breaker_opens : Obs.Counter.t;  (* closed/half-open -> open transitions *)
 }
 
 type t = {
   registry : Obs.t;
   requests : Obs.Counter.t;
-  shed : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
   rebalances : Obs.Counter.t;
   hedges : Obs.Counter.t;
@@ -46,15 +41,10 @@ let create ~shard_ids () =
     ~help:"Seconds since router start (monotonic clock)" (fun () ->
       Cpu_clock.monotonic_seconds () -. started);
   let requests = counter "rip_router_requests_total" "SOLVE requests received" in
-  let shed =
-    counter "rip_router_shed_total"
-      "SOLVE requests answered DEGRADED locally because every priced shard \
-       was above the shed threshold"
-  in
   let local_degraded =
     counter "rip_router_degraded_total"
-      "SOLVE requests answered DEGRADED by the router itself (price shed + \
-       shard loss)"
+      "SOLVE requests answered DEGRADED by the router itself (no candidate \
+       shard left)"
   in
   let rebalances =
     counter "rip_router_rebalances_total"
@@ -64,7 +54,7 @@ let create ~shard_ids () =
   let hedges =
     counter "rip_router_hedges_total"
       "forwards whose p99-derived hedge delay expired, issuing the request \
-       to the spill target as well"
+       to the failover candidate as well"
   in
   let hedge_wins =
     counter "rip_router_hedge_wins_total"
@@ -82,33 +72,19 @@ let create ~shard_ids () =
   let shards =
     List.map
       (fun id ->
-        let p name help =
-          counter (Printf.sprintf "rip_router_shard_%s_%s" (sanitize id) name)
-            (Printf.sprintf "%s (shard %s)" help id)
-        in
-        let g name help =
-          Obs.gauge registry
-            ~name:
-              (Printf.sprintf "rip_router_shard_%s_%s" (sanitize id) name)
-            ~help:(Printf.sprintf "%s (shard %s)" help id)
-        in
+        let name suffix =
+          Printf.sprintf "rip_router_shard_%s_%s" (sanitize id) suffix
+        and help text = Printf.sprintf "%s (shard %s)" text id in
         ( id,
           {
-            forwarded = p "forwarded_total" "requests forwarded";
+            forwarded =
+              counter (name "forwarded_total") (help "requests forwarded");
             failovers =
-              p "failovers_total"
-                "transport failures that sent the request elsewhere";
-            spills =
-              p "spills_total"
-                "requests priced off this primary to its second choice";
-            price = g "price" "current admission price";
-            up = g "up" "1 while the shard answers polls";
-            breaker_state =
-              g "breaker_state"
-                "circuit breaker: 0 closed, 1 open, 2 half-open";
-            breaker_opens =
-              p "breaker_opens_total"
-                "circuit breaker trips on consecutive transport failures";
+              counter (name "failovers_total")
+                (help "transport failures that sent the request elsewhere");
+            up =
+              Obs.gauge registry ~name:(name "up")
+                ~help:(help "1 while the shard answers polls");
           } ))
       shard_ids
   in
@@ -116,7 +92,6 @@ let create ~shard_ids () =
   {
     registry;
     requests;
-    shed;
     local_degraded;
     rebalances;
     hedges;
@@ -128,4 +103,3 @@ let create ~shard_ids () =
 
 let shard t id = List.assoc id t.shards
 let render t = Obs.render t.registry
-let registry t = t.registry

@@ -10,17 +10,12 @@ module Obs = Rip_obs.Metrics
 type shard_instruments = {
   forwarded : Obs.Counter.t;
   failovers : Obs.Counter.t;
-  spills : Obs.Counter.t;
-  price : Obs.Gauge.t;
   up : Obs.Gauge.t;
-  breaker_state : Obs.Gauge.t;  (** 0 closed, 1 open, 2 half-open *)
-  breaker_opens : Obs.Counter.t;
 }
 
 type t = {
   registry : Obs.t;
   requests : Obs.Counter.t;
-  shed : Obs.Counter.t;
   local_degraded : Obs.Counter.t;
   rebalances : Obs.Counter.t;
   hedges : Obs.Counter.t;  (** hedge delays that expired (secondary sent) *)
@@ -33,10 +28,7 @@ type t = {
 val create : shard_ids:string list -> unit -> t
 (** All shard gauges start [up = 1]. *)
 
-val sanitize : string -> string
-
 val shard : t -> string -> shard_instruments
 (** @raise Not_found for an unknown id. *)
 
 val render : t -> string
-val registry : t -> Obs.t

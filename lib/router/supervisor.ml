@@ -17,7 +17,6 @@ type child = {
   argv : string array;  (* full argv, argv.(0) = exe *)
   restart_backoff : float;  (* seconds to wait before a respawn *)
   mutable pid : int option;
-  mutable restarts : int;
   mutable last_exit : float;  (* monotonic time of last observed death *)
 }
 
@@ -29,12 +28,10 @@ let spawn_process child =
      previous owner was killed mid-listen. *)
   (if Sys.file_exists child.socket then
      try Unix.unlink child.socket with Unix.Unix_error _ -> ());
-  let pid =
-    Unix.create_process child.exe child.argv Unix.stdin Unix.stdout
-      Unix.stderr
-  in
-  child.pid <- Some pid;
-  pid
+  child.pid <-
+    Some
+      (Unix.create_process child.exe child.argv Unix.stdin Unix.stdout
+         Unix.stderr)
 
 let spawn ?(restart_backoff = 1.0) ~exe ~extra_args ~id ~socket () =
   let argv =
@@ -49,17 +46,14 @@ let spawn ?(restart_backoff = 1.0) ~exe ~extra_args ~id ~socket () =
       argv;
       restart_backoff;
       pid = None;
-      restarts = 0;
       last_exit = 0.0;
     }
   in
-  ignore (spawn_process child);
+  spawn_process child;
   child
 
 let id child = child.id
 let socket child = child.socket
-let pid child = child.pid
-let restarts child = child.restarts
 
 let alive child =
   match child.pid with
@@ -86,8 +80,7 @@ let restart_if_due child =
   if alive child then false
   else if monotonic () -. child.last_exit < child.restart_backoff then false
   else begin
-    ignore (spawn_process child);
-    child.restarts <- child.restarts + 1;
+    spawn_process child;
     true
   end
 

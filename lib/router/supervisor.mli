@@ -25,14 +25,6 @@ val spawn :
 val id : child -> string
 val socket : child -> string
 
-val pid : child -> int option
-(** [None] once the child has been observed dead (and reaped). *)
-
-val restarts : child -> int
-
-val alive : child -> bool
-(** Non-blocking: [waitpid WNOHANG], reaping the zombie on exit. *)
-
 val restart_if_due : child -> bool
 (** Respawn a dead child whose backoff has elapsed; [true] when a new
     process was started by this call.  No-op on a live child. *)

@@ -16,13 +16,18 @@ let of_fd ?timeout fd =
   Option.iter (set_timeout fd) timeout;
   { fd; reader = Wire.reader (Wire.create fd); closed = false }
 
+(* The timeouts are armed before connecting: a peer that has stopped
+   accepting (a hung process with a full listen backlog) then fails the
+   dial after [timeout] instead of blocking it forever. *)
 let connect_unix ?timeout path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX path)
+  (try
+     Option.iter (set_timeout fd) timeout;
+     Unix.connect fd (Unix.ADDR_UNIX path)
    with exn ->
      Unix.close fd;
      raise exn);
-  of_fd ?timeout fd
+  of_fd fd
 
 let connect_tcp ?timeout ~host ~port () =
   let address =
@@ -149,13 +154,16 @@ module Pool = struct
             close conn;
             e)
 
-  let close_all p =
+  let release p ~closed =
     Mutex.lock p.mutex;
     let conns = p.free in
     p.free <- [];
-    p.closed <- true;
+    if closed then p.closed <- true;
     Mutex.unlock p.mutex;
     List.iter close conns
+
+  let drain p = release p ~closed:false
+  let close_all p = release p ~closed:true
 end
 
 (* --- Retrying sessions ----------------------------------------------------

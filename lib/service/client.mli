@@ -17,7 +17,8 @@ val of_fd : ?timeout:float -> Unix.file_descr -> t
     blocking forever. *)
 
 val connect_unix : ?timeout:float -> string -> t
-(** Connect to a Unix-domain socket path.
+(** Connect to a Unix-domain socket path.  [timeout] is armed before the
+    connect, so it also bounds a dial to a peer that stopped accepting.
     @raise Unix.Unix_error when the daemon is not there. *)
 
 val connect_tcp : ?timeout:float -> host:string -> port:int -> unit -> t
@@ -58,6 +59,11 @@ module Pool : sig
       round trip, check it back in on success.  [Error] carries the
       dial or transport diagnostic; the failed connection is closed,
       not re-pooled. *)
+
+  val drain : t -> unit
+  (** Close every idle connection; the pool stays open and dials afresh.
+      For a peer known to have restarted, whose pooled connections all
+      lead to the dead process. *)
 
   val close_all : t -> unit
   (** Close every idle connection and refuse further checkouts.

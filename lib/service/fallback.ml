@@ -4,8 +4,8 @@ module Zone = Rip_net.Zone
 module Solution = Rip_elmore.Solution
 
 (* The analytic fallback tier, shared by the shard server (overload,
-   deadline, worker loss) and the router (price-shed requests, shards
-   lost mid-forward).  When the full solve is skipped or abandoned, the
+   deadline, worker loss) and the router (no candidate shard left for a
+   request).  When the full solve is skipped or abandoned, the
    reply still carries a usable insertion: the analytical minimum-delay
    solution, budget-improved by a short REFINE run when it has slack,
    with widths rounded to the coarse library and positions re-legalised

@@ -1,10 +1,10 @@
 (** The DP-free analytic fallback tier behind every [DEGRADED] answer.
 
     Shared by the shard server (overload, deadline, worker loss — see
-    {!Server}) and the router (price-based load shedding, shards lost
-    mid-forward): {!Rip_refine.Min_delay_analytic} plus a short REFINE
-    pass when the budget has slack, widths rounded to the coarse
-    library, positions re-legalised against forbidden zones.  Total and
+    {!Server}) and the router (no candidate shard left for a request):
+    {!Rip_refine.Min_delay_analytic} plus a short REFINE pass when the
+    budget has slack, widths rounded to the coarse library, positions
+    re-legalised against forbidden zones.  Total and
     cheap — microseconds to milliseconds, never a DP — with the empty
     insertion as the last resort. *)
 

@@ -131,5 +131,4 @@ let incr_refine_iterations t = Obs.Counter.incr t.refine_iterations
 let incr_newton_iterations t = Obs.Counter.incr t.newton_iterations
 let set_in_flight t n = Obs.Gauge.set t.in_flight (float_of_int n)
 let add_queue_depth t delta = Obs.Gauge.add t.queue_depth (float_of_int delta)
-let registry t = t.registry
 let render t = Obs.render t.registry

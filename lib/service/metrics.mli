@@ -2,7 +2,7 @@
     instance, backed by the lock-free {!Rip_obs.Metrics} registry.
 
     This module is the one list of a shard's series: the METRICS verb
-    renders it, and every other reader (the router's pricing and
+    renders it, and every other reader (the router's poller and
     cluster view, rip_loadgen's reconciliation, rip_top, perfbench)
     finds a series by its name in that rendering.  Counters are mutated
     from connection threads and read from any thread without locking.
@@ -72,12 +72,8 @@ val set_in_flight : t -> int -> unit
 val add_queue_depth : t -> int -> unit
 (** +1 when a solve enters the worker pool, -1 when it leaves. *)
 
-val registry : t -> Rip_obs.Metrics.t
-(** The underlying registry — the METRICS verb renders it. *)
-
 val render : t -> string
-(** [Rip_obs.Metrics.render (registry t)]: the Prometheus text body of a
-    METRICS response. *)
+(** The Prometheus text body of a METRICS response. *)
 
 val queue_wait_metric : string
 (** Name of the queue-wait histogram in the exposition

@@ -205,6 +205,38 @@ let test_geometry_out_of_range () =
   invalid "far outside" (fun () ->
       ignore (Geometry.cumulative_resistance g 5000.0))
 
+(* Short spans far from the driver, against the closed form.  The
+   prefix-sum form once overran the 1e-6 bound of the Eq. (1) property
+   below on a 0.04 um span at 3441.65-3441.69 um; the same span inside
+   one segment, and one straddling a boundary 9 mm out, both cancel
+   past it there. *)
+let test_geometry_short_span_elmore () =
+  let seg length r c =
+    Segment.create ~length ~resistance_per_um:r ~capacitance_per_um:c ()
+  in
+  let elmore segments a b =
+    Geometry.wire_elmore_between
+      (Geometry.of_net
+         (Net.create ~segments ~zones:[] ~driver_width:30.0
+            ~receiver_width:60.0 ()))
+      a b
+  in
+  let check name expected actual =
+    if not (Helpers.close ~rel:1e-6 expected actual) then
+      Alcotest.failf "%s: %.17g, expected %.17g" name actual expected
+  in
+  let a = 3441.65 and b = 3441.69 in
+  let l = b -. a in
+  check "within one segment: r c l^2 / 2"
+    (0.07 *. 3e-16 *. l *. l /. 2.0)
+    (elmore [ seg 5000.0 0.07 3e-16 ] a b);
+  let a = 8999.98 and b = 9000.02 in
+  let l1 = 9000.0 -. a and l2 = b -. 9000.0 in
+  check "across a boundary: Eq. (1) over both pieces"
+    ((0.1 *. l1 *. ((0.5 *. 2e-16 *. l1) +. (4e-16 *. l2)))
+    +. (0.05 *. 4e-16 *. l2 *. l2 /. 2.0))
+    (elmore [ seg 9000.0 0.1 2e-16; seg 3000.0 0.05 4e-16 ] a b)
+
 let prop_resistance_matches_integration =
   QCheck.Test.make ~name:"resistance_between equals numeric integration"
     ~count:60
@@ -430,6 +462,8 @@ let suite =
         Alcotest.test_case "side lookup" `Quick test_geometry_side_lookup;
         Alcotest.test_case "unit rc sides" `Quick test_geometry_unit_rc_sides;
         Alcotest.test_case "out of range" `Quick test_geometry_out_of_range;
+        Alcotest.test_case "short span elmore" `Quick
+          test_geometry_short_span_elmore;
         qcheck prop_resistance_matches_integration;
         qcheck prop_capacitance_matches_integration;
         qcheck prop_wire_elmore_matches_integration;

@@ -404,8 +404,6 @@ let test_wide_event_sampling () =
       { fast with Wide_event.outcome = "error" };
       { fast with Wide_event.hedged = true };
       { fast with Wide_event.failover = true };
-      { fast with Wide_event.spilled = true };
-      { fast with Wide_event.breaker_skip = true };
     ];
   Alcotest.(check bool)
     "ratio 1 keeps everything" true

@@ -1,12 +1,16 @@
-(* The router subsystem's pure parts: consistent-hash ring placement
-   (balance, restart determinism, minimal remap on membership edits)
-   and the price controller's climb/decay dynamics.  The process-level
-   behaviour — supervision, failover, shedding — is exercised by the
-   bench cluster ladder and the CI cluster smoke job. *)
+(* The router subsystem: consistent-hash ring placement (balance,
+   restart determinism, minimal remap on membership edits), config
+   validation, and in-process clusters — shard servers and a router on
+   Unix sockets inside this test process — for trace linkage, the
+   cluster view across a shard restart, failover off a dead primary and
+   failure detection of a hung shard.  Spawned-process supervision and a
+   real SIGKILL/SIGSTOP are exercised by the CI cluster smoke job. *)
 
 module Ring = Rip_router.Ring
-module Pricing = Rip_router.Pricing
 module Router = Rip_router.Router
+module Server = Rip_service.Server
+module Client = Rip_service.Client
+module Protocol = Rip_service.Protocol
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -139,75 +143,7 @@ let prop_ring_add_restores =
           | _ -> false)
         (List.init 500 Fun.id))
 
-(* --- Pricing ------------------------------------------------------------- *)
-
-let tick ?(seconds = 1.0) ?(completed = 0) ?(degraded = 0) ?(timeouts = 0)
-    ?(busy = 0) ?(in_flight = 0) ?(queue_depth = 64) () =
-  {
-    Pricing.seconds;
-    completed;
-    degraded;
-    timeouts;
-    busy;
-    in_flight;
-    queue_depth;
-  }
-
-let test_pricing_climbs_under_pain () =
-  let p = Pricing.create () in
-  let congested =
-    tick ~completed:40 ~degraded:10 ~busy:20 ~in_flight:60 ()
-  in
-  let initial = Pricing.price p in
-  let floor = (Pricing.config p).Pricing.floor in
-  let ceiling = (Pricing.config p).Pricing.ceiling in
-  for _ = 1 to 12 do
-    let price = Pricing.observe p congested in
-    Alcotest.(check bool) "price stays within bounds" true
-      (price >= floor && price <= ceiling)
-  done;
-  Alcotest.(check bool) "price rose under sustained congestion" true
-    (Pricing.price p > initial)
-
-let test_pricing_decays_when_idle () =
-  let p = Pricing.create () in
-  let congested = tick ~completed:40 ~degraded:10 ~busy:20 ~in_flight:60 () in
-  List.iter (fun _ -> ignore (Pricing.observe p congested)) (List.init 8 Fun.id);
-  let peak = Pricing.price p in
-  let idle = tick ~completed:2 ~in_flight:1 () in
-  List.iter (fun _ -> ignore (Pricing.observe p idle)) (List.init 40 Fun.id);
-  let floor = (Pricing.config p).Pricing.floor in
-  Alcotest.(check bool) "price fell from its peak" true (Pricing.price p < peak);
-  Alcotest.(check (float 1e-9)) "idle price reaches the floor" floor
-    (Pricing.price p)
-
-let test_pricing_profit () =
-  let config = Pricing.default_config in
-  let o = tick ~seconds:2.0 ~completed:20 ~degraded:2 ~timeouts:1 ~busy:4 () in
-  let expected =
-    (20.0 /. 2.0)
-    -. (config.Pricing.degraded_cost *. 2.0 /. 2.0)
-    -. (config.Pricing.timeout_cost *. 1.0 /. 2.0)
-    -. (config.Pricing.busy_cost *. 4.0 /. 2.0)
-  in
-  Alcotest.(check (float 1e-9)) "profit arithmetic" expected
-    (Pricing.profit config o);
-  Alcotest.(check (float 1e-9)) "empty window profits nothing" 0.0
-    (Pricing.profit config (tick ~seconds:0.0 ()))
-
-let test_pricing_validation () =
-  let bad config =
-    match Pricing.create ~config () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  bad { Pricing.default_config with floor = 0.0 };
-  bad { Pricing.default_config with floor = 2.0; initial_price = 1.0 };
-  bad { Pricing.default_config with ceiling = 0.5 };
-  bad { Pricing.default_config with growth = 1.0 };
-  bad { Pricing.default_config with shrink = 1.0 }
-
-(* Router.create rejects nonsense hedge / breaker configuration before
+(* Router.create rejects nonsense pool / hedge configuration before
    touching any socket, so the bad specs below never reach the
    connection pools. *)
 let test_router_config_validation () =
@@ -222,27 +158,87 @@ let test_router_config_validation () =
   in
   bad { Router.default_config with hedge_delay_floor = -0.001 };
   bad { Router.default_config with hedge_delay_factor = 0.0 };
-  bad { Router.default_config with breaker_threshold = 0 };
-  bad { Router.default_config with pool_size = 0 };
-  bad { Router.default_config with spill_price = 2.0; shed_price = 1.0 }
+  bad { Router.default_config with pool_size = 0 }
 
-(* Determinism: the same observation sequence always yields the same
-   price path — the router's admission decisions are replayable. *)
-let prop_pricing_deterministic =
-  QCheck.Test.make ~name:"pricing determinism" ~count:50
-    QCheck.(
-      list_of_size (Gen.int_range 0 30)
-        (pair (int_bound 80) (int_bound 10)))
-    (fun ticks ->
-      let run () =
-        let p = Pricing.create () in
-        List.map
-          (fun (completed, degraded) ->
-            Pricing.observe p
-              (tick ~completed ~degraded ~in_flight:(completed / 2) ()))
-          ticks
-      in
-      List.for_all2 (fun a b -> Float.equal a b) (run ()) (run ()))
+(* --- In-process clusters ------------------------------------------------- *)
+
+let sock_path name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "rip-test-%d-%s.sock" (Unix.getpid ()) name)
+
+let spec id socket = { Router.id; socket; weight = 1 }
+
+(* A shard server on [socket]; the returned function stops it. *)
+let start_shard ?tracer ~id socket =
+  let server =
+    Server.create
+      ~config:
+        { Server.default_config with jobs = Some 1; shard_id = id; tracer }
+      Helpers.process
+  in
+  let listener = Server.listen_unix socket in
+  let thread = Thread.create (fun () -> Server.run server listener) () in
+  fun () ->
+    Server.request_shutdown server;
+    (* nudge the accept loop awake so it notices the shutdown *)
+    (try Client.close (Client.connect_unix socket)
+     with Unix.Unix_error _ -> ());
+    Thread.join thread;
+    Server.shutdown server;
+    try Sys.remove socket with Sys_error _ -> ()
+
+(* Accept on [socket], running [serve] on each connection in a thread of
+   its own.  The connections are tracked, so the returned function can
+   cut them all at once, as a killed process would. *)
+let serve_tracked serve socket =
+  let listener = Server.listen_unix socket in
+  let fds = ref [] and fds_mutex = Mutex.create () in
+  let rec accept_loop () =
+    match Unix.accept ~cloexec:true listener with
+    | fd, _ ->
+        Mutex.protect fds_mutex (fun () -> fds := fd :: !fds);
+        ignore (Thread.create serve fd);
+        accept_loop ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  let acceptor = Thread.create accept_loop () in
+  fun () ->
+    Unix.shutdown listener Unix.SHUTDOWN_ALL;
+    Thread.join acceptor;
+    Unix.close listener;
+    Mutex.protect fds_mutex (fun () ->
+        List.iter
+          (fun fd ->
+            try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+          !fds)
+
+(* A router on [socket] over [shards]; the returned function stops it. *)
+let start_router ?(config = Router.default_config) ~socket shards =
+  let router = Router.create ~config ~shards Helpers.process in
+  let listener = Router.listen_unix socket in
+  let thread = Thread.create (fun () -> Router.run router listener) () in
+  fun () ->
+    Router.request_shutdown router;
+    Thread.join thread;
+    try Sys.remove socket with Sys_error _ -> ()
+
+let fetch_metrics client =
+  match Client.request client Protocol.Metrics with
+  | Ok (Protocol.Metrics_frame body) -> body
+  | Ok other ->
+      Alcotest.failf "METRICS answered %S" (Protocol.print_response other)
+  | Error e -> Alcotest.failf "METRICS failed: %s" e
+
+let uniform_net ~name length =
+  Helpers.Net.uniform ~name Rip_tech.Layer.metal4 ~length ~segment_count:2
+    ~driver_width:30.0 ~receiver_width:60.0
+
+let solve_request ?trace net =
+  let budget =
+    1.3 *. Rip_core.Rip.tau_min Helpers.process (Rip_net.Geometry.of_net net)
+  in
+  Protocol.Solve { budget; deadline_ms = None; trace; net }
 
 (* --- End to end: router -> shard span parentage -------------------------- *)
 
@@ -252,63 +248,26 @@ let prop_pricing_deterministic =
    header is supposed to build: client root -> router ingress -> router
    forward:<shard> -> shard spans. *)
 let test_router_trace_parentage () =
-  let process = Helpers.process in
-  let module Server = Rip_service.Server in
-  let module Client = Rip_service.Client in
-  let module Protocol = Rip_service.Protocol in
   let module Trace = Rip_obs.Trace in
   let module Trace_merge = Rip_obs.Trace_merge in
-  let dir = Filename.get_temp_dir_name () in
-  let tag = Unix.getpid () in
-  let shard_sock =
-    Filename.concat dir (Printf.sprintf "rip-test-%d-shard.sock" tag)
-  in
-  let router_sock =
-    Filename.concat dir (Printf.sprintf "rip-test-%d-router.sock" tag)
-  in
+  let shard_sock = sock_path "shard" and router_sock = sock_path "router" in
   let shard_tracer = Trace.create ~scope:"s0" ~pid:1 () in
-  let server =
-    Server.create
-      ~config:
-        {
-          Server.default_config with
-          jobs = Some 1;
-          shard_id = "s0";
-          tracer = Some shard_tracer;
-        }
-      process
-  in
-  let server_listener = Server.listen_unix shard_sock in
-  let server_thread =
-    Thread.create (fun () -> Server.run server server_listener) ()
-  in
+  let stop_shard = start_shard ~tracer:shard_tracer ~id:"s0" shard_sock in
   let router_tracer = Trace.create ~scope:"router" ~pid:2 () in
-  let router =
-    Router.create
+  let stop_router =
+    start_router
       ~config:{ Router.default_config with tracer = Some router_tracer }
-      ~shards:[ { Router.id = "s0"; socket = shard_sock; weight = 1 } ]
-      process
-  in
-  let router_listener = Router.listen_unix router_sock in
-  let router_thread =
-    Thread.create (fun () -> Router.run router router_listener) ()
+      ~socket:router_sock [ spec "s0" shard_sock ]
   in
   let net =
     Helpers.Net.uniform ~name:"traced" Rip_tech.Layer.metal4 ~length:5000.0
       ~segment_count:3 ~driver_width:30.0 ~receiver_width:60.0
   in
-  let budget =
-    1.3
-    *. Rip_core.Rip.tau_min process (Rip_net.Geometry.of_net net)
-  in
   let ctx =
     Trace.make_context ~scope:"test" ~digest:"client" ~seq:0 ()
   in
   let client = Client.connect_unix router_sock in
-  (match
-     Client.request client
-       (Protocol.Solve { budget; deadline_ms = None; trace = Some ctx; net })
-   with
+  (match Client.request client (solve_request ~trace:ctx net) with
   | Ok (Protocol.Result _) -> ()
   | Ok other ->
       Alcotest.failf "traced solve answered %S"
@@ -316,18 +275,10 @@ let test_router_trace_parentage () =
   | Error e -> Alcotest.failf "traced solve failed: %s" e);
   (match Client.request client Protocol.Shutdown with
   | Ok Protocol.Bye -> ()
-  | Ok _ | Error _ -> Router.request_shutdown router);
+  | Ok _ | Error _ -> Alcotest.fail "SHUTDOWN not answered with BYE");
   Client.close client;
-  Thread.join router_thread;
-  Server.request_shutdown server;
-  (* nudge the accept loop awake so it notices the shutdown *)
-  (try Client.close (Client.connect_unix shard_sock)
-   with Unix.Unix_error _ -> ());
-  Thread.join server_thread;
-  Server.shutdown server;
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ shard_sock; router_sock ];
+  stop_router ();
+  stop_shard ();
   let parse t =
     match Trace_merge.parse (Trace.to_chrome_json t) with
     | Ok d -> d
@@ -378,72 +329,31 @@ let test_router_trace_parentage () =
    under their own names, appended to its METRICS) never goes
    backwards: the load generator's delta reconciliation relies on it. *)
 let test_router_cluster_counters_survive_restart () =
-  let process = Helpers.process in
-  let module Server = Rip_service.Server in
-  let module Client = Rip_service.Client in
-  let module Protocol = Rip_service.Protocol in
   let module Exposition = Rip_obs.Metrics.Exposition in
   (* Writes to the crashed shard must fail with EPIPE, as they do in
      rip_routerd, not kill the test. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let dir = Filename.get_temp_dir_name () in
-  let tag = Unix.getpid () in
-  let shard_sock =
-    Filename.concat dir (Printf.sprintf "rip-test-%d-restart-s0.sock" tag)
-  in
-  let router_sock =
-    Filename.concat dir (Printf.sprintf "rip-test-%d-restart-router.sock" tag)
-  in
-  (* The shard's connections are tracked so a crash can cut them all,
-     as a killed process would. *)
+  let shard_sock = sock_path "restart-s0"
+  and router_sock = sock_path "restart-router" in
   let start_shard () =
     let server =
       Server.create
         ~config:{ Server.default_config with jobs = Some 1; shard_id = "s0" }
-        process
+        Helpers.process
     in
-    let listener = Server.listen_unix shard_sock in
-    let fds = ref [] and fds_mutex = Mutex.create () in
-    let rec accept_loop () =
-      match Unix.accept ~cloexec:true listener with
-      | fd, _ ->
-          Mutex.protect fds_mutex (fun () -> fds := fd :: !fds);
-          ignore (Thread.create (Server.handle_connection server) fd);
-          accept_loop ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    let acceptor = Thread.create accept_loop () in
+    let crash = serve_tracked (Server.handle_connection server) shard_sock in
     fun () ->
-      Unix.shutdown listener Unix.SHUTDOWN_ALL;
-      Thread.join acceptor;
-      Unix.close listener;
-      Mutex.protect fds_mutex (fun () ->
-          List.iter
-            (fun fd ->
-              try Unix.shutdown fd Unix.SHUTDOWN_ALL
-              with Unix.Unix_error _ -> ())
-            !fds);
+      crash ();
       Server.shutdown server
   in
   let crash_first = start_shard () in
-  let router =
-    Router.create
+  let stop_router =
+    start_router
       ~config:{ Router.default_config with poll_interval = 0.02 }
-      ~shards:[ { Router.id = "s0"; socket = shard_sock; weight = 1 } ]
-      process
-  in
-  let router_listener = Router.listen_unix router_sock in
-  let router_thread =
-    Thread.create (fun () -> Router.run router router_listener) ()
+      ~socket:router_sock [ spec "s0" shard_sock ]
   in
   let client = Client.connect_unix router_sock in
-  let metrics () =
-    match Client.request client Protocol.Metrics with
-    | Ok (Protocol.Metrics_frame body) -> Exposition.parse body
-    | Ok other ->
-        Alcotest.failf "METRICS answered %S" (Protocol.print_response other)
-    | Error e -> Alcotest.failf "METRICS failed: %s" e
-  in
+  let metrics () = Exposition.parse (fetch_metrics client) in
   let series view name =
     match Exposition.value view name with
     | Some v -> int_of_float v
@@ -459,16 +369,8 @@ let test_router_cluster_counters_survive_restart () =
     done
   in
   let solve length =
-    let net =
-      Helpers.Net.uniform ~name:"restart" Rip_tech.Layer.metal4 ~length
-        ~segment_count:2 ~driver_width:30.0 ~receiver_width:60.0
-    in
-    let budget =
-      1.3 *. Rip_core.Rip.tau_min process (Rip_net.Geometry.of_net net)
-    in
     match
-      Client.request client
-        (Protocol.Solve { budget; deadline_ms = None; trace = None; net })
+      Client.request client (solve_request (uniform_net ~name:"restart" length))
     with
     | Ok (Protocol.Result _) -> ()
     | Ok other ->
@@ -505,12 +407,122 @@ let test_router_cluster_counters_survive_restart () =
       Alcotest.(check bool) (name ^ " monotone across the restart") true grew)
     before;
   Client.close client;
-  Router.request_shutdown router;
-  Thread.join router_thread;
+  stop_router ();
   stop_second ();
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ shard_sock; router_sock ]
+  try Sys.remove shard_sock with Sys_error _ -> ()
+
+(* A transport failure on the request path fails over at once: a
+   request whose primary shard is dead is answered by its second choice
+   while the poller still counts the dead shard as up (its first missed
+   poll is far from [down_after]), so no failure detector is involved. *)
+let test_router_dead_primary_fails_over () =
+  let live = sock_path "dead-s0" and dead = sock_path "dead-s1" in
+  let router_sock = sock_path "dead-router" in
+  (try Sys.remove dead with Sys_error _ -> ());
+  let stop_shard = start_shard ~id:"s0" live in
+  let shards = [ spec "s0" live; spec "s1" dead ] in
+  let ring = Ring.create (List.map (fun s -> (s.Router.id, 1)) shards) in
+  let rec owned_by_dead length =
+    let net = uniform_net ~name:"failover" length in
+    if Ring.lookup ring (Rip_net.Net.canonical_digest net) = Some "s1" then net
+    else owned_by_dead (length +. 250.0)
+  in
+  let net = owned_by_dead 3000.0 in
+  let stop_router =
+    start_router
+      ~config:{ Router.default_config with poll_interval = 1.0; down_after = 5 }
+      ~socket:router_sock shards
+  in
+  let client = Client.connect_unix router_sock in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      stop_router ();
+      stop_shard ())
+    (fun () ->
+      (match Client.request client (solve_request net) with
+      | Ok (Protocol.Result _) -> ()
+      | Ok other ->
+          Alcotest.failf "solve answered %S" (Protocol.print_response other)
+      | Error e -> Alcotest.failf "solve failed: %s" e);
+      let body = fetch_metrics client in
+      let series = Helpers.series body in
+      Alcotest.(check int) "the dead primary's forward failed" 1
+        (series "rip_router_shard_s1_failovers_total");
+      Alcotest.(check int) "the failover shard answered" 1
+        (series "rip_router_shard_s0_forwarded_total");
+      Alcotest.(check int) "no local DEGRADED answer" 0
+        (series "rip_router_degraded_total");
+      Alcotest.(check int) "the poller has not marked it down yet" 1
+        (series "rip_router_shard_s1_up"))
+
+(* A shard that reads its requests and never answers, like a stopped
+   process. *)
+let never_answer fd =
+  let buf = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> drain ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  drain ();
+  Unix.close fd
+
+(* Every control-plane exchange is bounded by [poll_interval *
+   down_after], far below the forward timeout: a hung shard is marked
+   down within a few such windows, the healthy shard's polls go on, and
+   the router's METRICS answer never waits out [request_timeout]. *)
+let test_router_hung_shard_detected () =
+  let live = sock_path "hung-s0" and hung = sock_path "hung-s1" in
+  let router_sock = sock_path "hung-router" in
+  let stop_shard = start_shard ~id:"s0" live in
+  let stop_hung = serve_tracked never_answer hung in
+  let config =
+    {
+      Router.default_config with
+      poll_interval = 0.1;
+      down_after = 2;
+      request_timeout = 3.0;
+    }
+  in
+  let window = config.poll_interval *. float_of_int config.down_after in
+  let stop_router =
+    start_router ~config ~socket:router_sock [ spec "s0" live; spec "s1" hung ]
+  in
+  let client = Client.connect_unix router_sock in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      stop_router ();
+      stop_hung ();
+      stop_shard ();
+      try Sys.remove hung with Sys_error _ -> ())
+    (fun () ->
+      let started = Unix.gettimeofday () in
+      let timed_metrics () =
+        let asked = Unix.gettimeofday () in
+        let body = fetch_metrics client in
+        let took = Unix.gettimeofday () -. asked in
+        if took > 5.0 *. window then
+          Alcotest.failf "router METRICS took %.2f s (window %.2f s)" took
+            window;
+        body
+      in
+      let rec await_down () =
+        let body = timed_metrics () in
+        if Helpers.series body "rip_router_shard_s1_up" = 0 then body
+        else if Unix.gettimeofday () -. started > 15.0 *. window then
+          Alcotest.failf "hung shard still up after %.2f s"
+            (Unix.gettimeofday () -. started)
+        else begin
+          Thread.delay 0.02;
+          await_down ()
+        end
+      in
+      let body = await_down () in
+      Alcotest.(check int) "the healthy shard stays up" 1
+        (Helpers.series body "rip_router_shard_s0_up"))
 
 let suite =
   [
@@ -525,25 +537,19 @@ let suite =
         qcheck prop_ring_minimal_remap;
         qcheck prop_ring_add_restores;
       ] );
-    ( "router.pricing",
-      [
-        Alcotest.test_case "climbs under pain" `Quick
-          test_pricing_climbs_under_pain;
-        Alcotest.test_case "decays when idle" `Quick
-          test_pricing_decays_when_idle;
-        Alcotest.test_case "profit arithmetic" `Quick test_pricing_profit;
-        Alcotest.test_case "config validation" `Quick test_pricing_validation;
-        qcheck prop_pricing_deterministic;
-      ] );
     ( "router.config",
       [
-        Alcotest.test_case "hedge and breaker validation" `Quick
+        Alcotest.test_case "pool and hedge validation" `Quick
           test_router_config_validation;
       ] );
     ( "router.cluster",
       [
         Alcotest.test_case "cluster counters monotone across a shard restart"
           `Quick test_router_cluster_counters_survive_restart;
+        Alcotest.test_case "dead primary fails over at once" `Quick
+          test_router_dead_primary_fails_over;
+        Alcotest.test_case "hung shard marked down within the poll window"
+          `Quick test_router_hung_shard_detected;
       ] );
     ( "router.trace",
       [
