@@ -19,31 +19,6 @@ module Wide_event = Rip_obs.Wide_event
 
 let process = Rip_tech.Process.default_180nm
 
-let rec ensure_dir dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    ensure_dir (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* A PATH ending in '/' (or naming an existing directory) means "put the
-   router's file inside": the same convention rip_serviced uses, so one
-   --trace-out directory can collect the whole cluster's dumps. *)
-let sink ~default_name path =
-  let is_dir =
-    (Sys.file_exists path && Sys.is_directory path)
-    || (String.length path > 0 && path.[String.length path - 1] = '/')
-  in
-  if is_dir then begin
-    ensure_dir path;
-    Filename.concat path default_name
-  end
-  else begin
-    ensure_dir (Filename.dirname path);
-    path
-  end
-
 let parse_attach spec =
   match String.index_opt spec '=' with
   | Some i when i > 0 && i < String.length spec - 1 ->
@@ -68,7 +43,7 @@ let rec parse_attach_all = function
           Result.map (fun pairs -> pair :: pairs) (parse_attach_all rest))
 
 let serve socket_path port host shards shard_dir shard_jobs shard_args attach
-    pool_size poll_interval restart_backoff no_hedge hedge_floor_ms trace_out
+    pool_size poll_interval restart_backoff hedge_floor_ms trace_out
     wide_events wide_sample_ratio wide_latency_threshold_ms =
   match parse_attach_all attach with
   | Error e ->
@@ -150,14 +125,13 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
                 in
                 Some
                   (Wide_event.create ~sampler
-                     (sink ~default_name:"wide-router.jsonl" path))
+                     (Rip_obs.Sink.path ~default_name:"wide-router.jsonl" path))
           in
           let config =
             {
               Router.default_config with
               pool_size;
               poll_interval;
-              hedge = not no_hedge;
               hedge_delay_floor = hedge_floor_ms /. 1000.0;
               tracer;
               spool;
@@ -193,20 +167,19 @@ let serve socket_path port host shards shard_dir shard_jobs shard_args attach
           in
           Printf.printf
             "rip_routerd: listening on %s (%d shards: %s; pool %d, poll \
-             %.2fs, %s)\n\
+             %.2fs, hedge floor %.0f ms)\n\
              %!"
             endpoint (List.length specs)
             (String.concat ", "
                (List.map (fun (s : Router.shard_spec) -> s.id) specs))
-            pool_size poll_interval
-            (if no_hedge then "hedging off"
-             else
-               Printf.sprintf "hedge floor %.0f ms" hedge_floor_ms);
+            pool_size poll_interval hedge_floor_ms;
           Router.run router listen_fd;
           Thread.join supervisor_thread;
           (match (tracer, trace_out) with
           | Some tr, Some out ->
-              let path = sink ~default_name:"trace-router.json" out in
+              let path =
+                Rip_obs.Sink.path ~default_name:"trace-router.json" out
+              in
               Trace.dump_to_file tr path;
               Printf.printf "rip_routerd: wrote %d trace spans to %s\n%!"
                 (Trace.span_count tr) path
@@ -317,21 +290,18 @@ let restart_backoff =
               restarted.  Large values keep a killed shard down — useful \
               for observing graceful degradation.")
 
-let no_hedge =
-  Arg.(
-    value & flag
-    & info [ "no-hedge" ]
-        ~doc:"Disable hedged requests.  By default a forward still \
-              unanswered after the p99-derived hedge delay is also issued \
-              to the key's failover shard and the first answer wins.")
-
 let hedge_floor_ms =
   Arg.(
     value
     & opt float (Rip_router.Router.default_config.hedge_delay_floor *. 1000.0)
     & info [ "hedge-floor-ms" ] ~docv:"MS"
         ~doc:"Lower bound on the hedge delay, so a cold or cache-hit-fast \
-              forward histogram cannot hedge every request.")
+              forward histogram cannot hedge every request.  A forward \
+              still unanswered after max(MS, 1.5 x p99 of recent \
+              forwards) is also sent to the key's failover shard; the \
+              first answer wins and the loser's connection is closed.  \
+              A value at or above the 60 s request timeout turns \
+              hedging off.")
 
 let trace_out =
   Arg.(
@@ -383,7 +353,7 @@ let main =
     Term.(
       const serve $ socket_path $ port $ host $ shards $ shard_dir
       $ shard_jobs $ shard_args $ attach $ pool_size $ poll_interval
-      $ restart_backoff $ no_hedge $ hedge_floor_ms $ trace_out $ wide_events
+      $ restart_backoff $ hedge_floor_ms $ trace_out $ wide_events
       $ wide_sample_ratio $ wide_latency_threshold_ms)
 
 let () = exit (Cmd.eval' main)

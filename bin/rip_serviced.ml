@@ -23,36 +23,6 @@ let resolve_faults = function
   | Some spec -> Result.map Option.some (Faults.parse_spec spec)
   | None -> Faults.of_env ()
 
-let rec ensure_dir dir =
-  if
-    String.equal dir "" || String.equal dir "." || String.equal dir "/"
-    || Sys.file_exists dir
-  then ()
-  else begin
-    ensure_dir (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* A sink path ending in '/' (or naming an existing directory) gets a
-   per-shard file inside it — so a router supervisor can pass one
-   --shard-arg=--trace-out --shard-arg=DIR/ to every shard without the
-   dumps clobbering each other. *)
-let per_shard_sink ~shard_id ~default_name path =
-  let is_dir =
-    (Sys.file_exists path && Sys.is_directory path)
-    || String.length path > 0
-       && path.[String.length path - 1] = '/'
-  in
-  if is_dir then begin
-    ensure_dir path;
-    Filename.concat path (default_name shard_id)
-  end
-  else begin
-    ensure_dir (Filename.dirname path);
-    path
-  end
-
 let serve socket_path port host shard_id jobs cache_capacity queue_depth
     high_water max_frame_bytes faults_spec trace_out wide_events
     wide_sample_ratio wide_latency_threshold_ms journal_dir =
@@ -122,8 +92,8 @@ let serve socket_path port host shard_id jobs cache_capacity queue_depth
           Option.map
             (fun path ->
               let path =
-                per_shard_sink ~shard_id
-                  ~default_name:(Printf.sprintf "wide-%s.jsonl")
+                Rip_obs.Sink.path
+                  ~default_name:(Printf.sprintf "wide-%s.jsonl" shard_id)
                   path
               in
               Wide_event.create
@@ -196,8 +166,8 @@ let serve socket_path port host shard_id jobs cache_capacity queue_depth
         (match (tracer, trace_out) with
         | Some tr, Some path ->
             let path =
-              per_shard_sink ~shard_id
-                ~default_name:(Printf.sprintf "trace-%s.json")
+              Rip_obs.Sink.path
+                ~default_name:(Printf.sprintf "trace-%s.json" shard_id)
                 path
             in
             Trace.dump_to_file tr path;

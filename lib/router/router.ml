@@ -23,8 +23,13 @@
    control-plane exchange (METRICS, HEALTH) runs on a connection pool
    of its own with a socket timeout of [poll_interval * down_after], so
    a hung shard costs a poll no more than the detection window it is
-   judged by.  A transport failure on the request path fails over to the
-   other candidate immediately; when no candidate is left the router
+   judged by.
+
+   A forward runs on the connection thread alone, which waits on the
+   forward sockets themselves.  A transport failure fails over to the
+   other candidate at once.  A forward still silent after the hedge
+   delay is also sent to that candidate; the first answer wins and the
+   loser's connection is closed.  When no candidate is left the router
    answers DEGRADED (worker lost) locally.  The router never drops a
    request on the floor. *)
 
@@ -49,7 +54,6 @@ type config = {
   remove_after : int;  (* further misses before ring removal *)
   solver : Rip_core.Config.t option;  (* for the local fallback tier *)
   max_frame_bytes : int;
-  hedge : bool;  (* hedge slow forwards onto the failover candidate *)
   hedge_delay_floor : float;  (* seconds; hedge delay never below this *)
   hedge_delay_factor : float;  (* hedge delay = factor * forward p99 *)
   tracer : Trace.t option;  (* ingress/forward spans + TRACE propagation *)
@@ -66,7 +70,6 @@ let default_config =
     remove_after = 8;
     solver = None;
     max_frame_bytes = Wire.default_max_frame_bytes;
-    hedge = true;
     hedge_delay_floor = 0.05;
     hedge_delay_factor = 1.5;
     tracer = None;
@@ -206,12 +209,6 @@ let mark_recovered t shard =
   Obs.Gauge.set shard.inst.up 1.0;
   if re_add then Obs.Counter.incr t.metrics.rebalances
 
-let shard_available t shard =
-  Mutex.lock t.mutex;
-  let up = shard.up in
-  Mutex.unlock t.mutex;
-  up
-
 let series scrape name =
   Option.value ~default:0.0 (List.assoc_opt name scrape.scalars)
 
@@ -349,44 +346,9 @@ let route t key =
   Mutex.unlock t.mutex;
   decision
 
-let forward ?(args = []) t shard frame =
-  let started = Cpu_clock.monotonic_seconds () in
-  let result =
-    Trace.span t.config.tracer ~cat:"router" ~args
-      ("forward:" ^ shard.spec.id)
-      (fun () -> Client.Pool.request shard.pool frame)
-  in
-  (match result with
-  | Ok _ ->
-      Obs.Counter.incr shard.inst.forwarded;
-      Obs.Histogram.observe t.metrics.forward_seconds
-        (Cpu_clock.monotonic_seconds () -. started)
-  | Error _ -> Obs.Counter.incr shard.inst.failovers);
-  result
+(* --- Forwarding ------------------------------------------------------------ *)
 
-(* --- Hedged forwards ------------------------------------------------------- *)
-
-(* Tail tolerance: once a forward has been in flight longer than the
-   hedge delay — derived from the p99 of recent forward round-trips,
-   floored so a cold histogram cannot hedge everything — the same
-   request is issued to the failover candidate (the key's second choice,
-   whose cache the key would land on anyway) and the first answer wins.  The
-   loser is not torn down mid-flight: its connection completes in the
-   background inside its pool slot and the late answer is discarded,
-   which keeps the pool invariant (one request per checkout) intact.
-
-   The slot poll mirrors {!Watchdog}: [Condition] has no timed wait, so
-   a 2 ms tick bounds the added latency at well under the hedge delay
-   floor. *)
-
-type forward_slot = {
-  slot_mutex : Mutex.t;
-  mutable slot_result : (Protocol.response, string) result option;
-}
-
-(* Per-request involvement flags for the wide event; mutated only on
-   the connection thread (the hedge's primary runs on its own thread
-   but posts through the slot, never through this). *)
+(* Per-request involvement flags for the wide event. *)
 type request_obs = {
   mutable o_shard : string;
   mutable o_hedged : bool;
@@ -394,83 +356,128 @@ type request_obs = {
   mutable o_failover : bool;
 }
 
-let hedge_tick_seconds = 0.002
+(* One leg of a forward: the frame written to one shard on a connection
+   checked out of its pool, with the leg's forward span open. *)
+type leg = {
+  shard : shard;
+  conn : Client.t;
+  started : float;
+  end_span : unit -> unit;
+}
 
 let hedge_delay t =
   let snapshot = Obs.Histogram.snapshot t.metrics.forward_seconds in
   Float.max t.config.hedge_delay_floor
     (t.config.hedge_delay_factor *. Obs.Histogram.quantile snapshot 0.99)
 
-let hedged_forward t obs (primary, primary_frame, primary_args)
-    (secondary, secondary_frame, secondary_args) =
-  let slot = { slot_mutex = Mutex.create (); slot_result = None } in
-  let post result =
-    Mutex.lock slot.slot_mutex;
-    slot.slot_result <- Some result;
-    Mutex.unlock slot.slot_mutex
+let observe_forward t leg =
+  Obs.Histogram.observe t.metrics.forward_seconds
+    (Cpu_clock.monotonic_seconds () -. leg.started)
+
+let fail_leg leg =
+  leg.end_span ();
+  Client.Pool.discard leg.shard.pool leg.conn;
+  Obs.Counter.incr leg.shard.inst.failovers
+
+let send_leg t leg_for shard =
+  let frame, args = leg_for shard in
+  let end_span =
+    Trace.begin_opt t.config.tracer ~cat:"router" ~args
+      ("forward:" ^ shard.spec.id)
   in
-  let peek () =
-    Mutex.lock slot.slot_mutex;
-    let r = slot.slot_result in
-    Mutex.unlock slot.slot_mutex;
-    r
-  in
-  ignore
-    (Thread.create
-       (fun () -> post (forward ~args:primary_args t primary primary_frame))
-       ()
-      : Thread.t);
-  let deadline = Cpu_clock.monotonic_seconds () +. hedge_delay t in
-  let rec await_primary () =
-    match peek () with
-    | Some result -> Some result
-    | None ->
-        if Cpu_clock.monotonic_seconds () >= deadline then None
-        else begin
-          Thread.delay hedge_tick_seconds;
-          await_primary ()
-        end
-  in
-  match await_primary () with
-  | Some (Ok response) -> Ok response
-  | Some (Error _) ->
-      (* The primary's transport failed before the delay expired: this
-         is an ordinary failover, not a hedge. *)
+  let started = Cpu_clock.monotonic_seconds () in
+  match Client.Pool.checkout shard.pool with
+  | Error _ as e ->
+      end_span ();
+      Obs.Counter.incr shard.inst.failovers;
+      e
+  | Ok conn -> (
+      let leg = { shard; conn; started; end_span } in
+      match Client.send conn frame with
+      | Ok () -> Ok leg
+      | Error _ as e ->
+          fail_leg leg;
+          e)
+
+(* Read the leg's answer, blocking up to the request timeout. *)
+let receive_leg t leg =
+  let result = Client.receive leg.conn in
+  (match result with
+  | Ok _ ->
+      leg.end_span ();
+      Client.Pool.checkin leg.shard.pool leg.conn;
+      Obs.Counter.incr leg.shard.inst.forwarded;
+      observe_forward t leg
+  | Error _ -> fail_leg leg);
+  result
+
+(* The losing leg of a hedge still owes an answer nobody will read, so
+   its connection is closed.  Its elapsed time still feeds the forward
+   histogram, so the hedge delay's p99 keeps the slow tail. *)
+let drop_leg t leg =
+  leg.end_span ();
+  Client.Pool.discard leg.shard.pool leg.conn;
+  observe_forward t leg
+
+(* The hedge's race over the legs' sockets: the first answer wins and
+   the other legs are dropped; a leg that fails leaves the race to the
+   rest. *)
+let rec race t obs ~backup ~deadline legs =
+  let timeout = deadline -. Cpu_clock.monotonic_seconds () in
+  match Client.wait ~timeout (List.map (fun l -> l.conn) legs) with
+  | [] ->
+      List.iter fail_leg legs;
+      Error "hedged forward timed out"
+  | first :: _ -> (
+      let leg = List.find (fun l -> l.conn == first) legs in
+      let rest = List.filter (fun l -> l != leg) legs in
+      match (receive_leg t leg, rest) with
+      | (Ok _ as answer), _ ->
+          List.iter (drop_leg t) rest;
+          if leg.shard == backup then begin
+            Obs.Counter.incr t.metrics.hedge_wins;
+            obs.o_hedge_won <- true;
+            obs.o_shard <- backup.spec.id
+          end;
+          answer
+      | (Error _ as e), [] -> e
+      | Error _, _ -> race t obs ~backup ~deadline rest)
+
+let failover t obs leg_for backup =
+  match backup with
+  | None -> Error "no failover candidate"
+  | Some other ->
       obs.o_failover <- true;
-      obs.o_shard <- secondary.spec.id;
-      forward ~args:secondary_args t secondary secondary_frame
-  | None -> (
-      Obs.Counter.incr t.metrics.hedges;
-      obs.o_hedged <- true;
-      match forward ~args:secondary_args t secondary secondary_frame with
-      | Ok response -> (
-          (* First answer wins: if the primary posted while the hedge
-             ran, its answer was first and is the one served. *)
-          match peek () with
-          | Some (Ok primary_response) -> Ok primary_response
-          | Some (Error _) | None ->
-              Obs.Counter.incr t.metrics.hedge_wins;
-              obs.o_hedge_won <- true;
-              obs.o_shard <- secondary.spec.id;
-              Ok response)
-      | Error _ ->
-          (* The hedge lost its transport; all that is left is waiting
-             out the primary, bounded by the request timeout. *)
-          let give_up =
+      obs.o_shard <- other.spec.id;
+      Result.bind (send_leg t leg_for other) (receive_leg t)
+
+(* Forward to [target]; [backup] is the key's second choice when the
+   poller sees it up.  The connection thread waits on the forward socket
+   itself: an answer within the hedge delay is served, a transport
+   failure fails over to [backup], and silence past the delay hedges
+   onto it — the frame goes to [backup] too and the two legs race. *)
+let forward t obs leg_for target backup =
+  match send_leg t leg_for target with
+  | Error _ -> failover t obs leg_for backup
+  | Ok leg -> (
+      let delay = hedge_delay t in
+      match backup with
+      | Some other
+        when delay < t.config.request_timeout
+             && List.is_empty (Client.wait ~timeout:delay [ leg.conn ]) ->
+          Obs.Counter.incr t.metrics.hedges;
+          obs.o_hedged <- true;
+          let deadline =
             Cpu_clock.monotonic_seconds () +. t.config.request_timeout
           in
-          let rec await_outcome () =
-            match peek () with
-            | Some result -> result
-            | None ->
-                if Cpu_clock.monotonic_seconds () >= give_up then
-                  Error "hedged forward: both candidates failed"
-                else begin
-                  Thread.delay hedge_tick_seconds;
-                  await_outcome ()
-                end
-          in
-          await_outcome ())
+          race t obs ~backup:other ~deadline
+            (match send_leg t leg_for other with
+            | Ok second -> [ leg; second ]
+            | Error _ -> [ leg ])
+      | _ -> (
+          match receive_leg t leg with
+          | Ok _ as answer -> answer
+          | Error _ -> failover t obs leg_for backup))
 
 let serve_solve t ~budget ~deadline_ms ~trace ~net =
   let started = Cpu_clock.monotonic_seconds () in
@@ -515,8 +522,8 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
     in
     Protocol.Solve { budget; deadline_ms; trace; net }
   in
-  let fwd_args shard =
-    span_args ~parent:ingress_id ("forward:" ^ shard.spec.id)
+  let leg_for shard =
+    (frame_for shard, span_args ~parent:ingress_id ("forward:" ^ shard.spec.id))
   in
   let obs =
     { o_shard = ""; o_hedged = false; o_hedge_won = false; o_failover = false }
@@ -533,46 +540,11 @@ let serve_solve t ~budget ~deadline_ms ~trace ~net =
       (fun () ->
         match route t key with
         | None -> worker_lost t ~budget ~net
-        | Some (target, failover) -> (
+        | Some (target, backup) -> (
             obs.o_shard <- target.spec.id;
-            let hedge_target =
-              if t.config.hedge then
-                match failover with
-                | Some other when shard_available t other -> Some other
-                | _ -> None
-              else None
-            in
-            match hedge_target with
-            | Some other -> (
-                match
-                  hedged_forward t obs
-                    (target, frame_for target, fwd_args target)
-                    (other, frame_for other, fwd_args other)
-                with
-                | Ok response -> response
-                | Error _ ->
-                    (* Both candidates were already tried inside the
-                       hedge. *)
-                    worker_lost t ~budget ~net)
-            | None -> (
-                match
-                  forward ~args:(fwd_args target) t target (frame_for target)
-                with
-                | Ok response -> response
-                | Error _ -> (
-                    (* The poller will notice the death on its own tick;
-                       the request fails over right now. *)
-                    match failover with
-                    | Some other when shard_available t other -> (
-                        obs.o_failover <- true;
-                        obs.o_shard <- other.spec.id;
-                        match
-                          forward ~args:(fwd_args other) t other
-                            (frame_for other)
-                        with
-                        | Ok response -> response
-                        | Error _ -> worker_lost t ~budget ~net)
-                    | _ -> worker_lost t ~budget ~net))))
+            match forward t obs leg_for target backup with
+            | Ok response -> response
+            | Error _ -> worker_lost t ~budget ~net))
   in
   (* Exactly one wide event per request through the router, always kept
      by the tail sampler when anything interesting happened (degraded,

@@ -32,8 +32,10 @@
     derived from the p99 of recent forward round-trips
     ([hedge_delay_factor] times the p99, floored at
     [hedge_delay_floor]) is also issued to the key's failover
-    candidate, and the first answer wins; the loser's late answer is
-    discarded when its connection completes.  Counted as
+    candidate.  The connection thread waits on both forward sockets and
+    the first answer wins; the loser's connection is closed, not
+    re-pooled, and its elapsed time still feeds the p99.  A floor at or
+    above [request_timeout] turns hedging off.  Counted as
     [rip_router_hedges_total] / [rip_router_hedge_wins_total]. *)
 
 type shard_spec = { id : string; socket : string; weight : int }
@@ -49,7 +51,6 @@ type config = {
   remove_after : int;  (** further misses before ring removal *)
   solver : Rip_core.Config.t option;  (** for the local fallback tier *)
   max_frame_bytes : int;
-  hedge : bool;  (** hedge slow forwards onto the failover candidate *)
   hedge_delay_floor : float;
       (** seconds; the hedge delay never drops below this, so a cold or
           cache-hit-dominated histogram cannot hedge every request *)
@@ -69,7 +70,7 @@ type config = {
 }
 
 val default_config : config
-(** [poll_interval = 0.25], [down_after = 2], [hedge = true],
+(** [poll_interval = 0.25], [down_after = 2],
     [hedge_delay_floor = 0.05], [hedge_delay_factor = 1.5]. *)
 
 type t

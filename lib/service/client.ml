@@ -47,20 +47,39 @@ let connect_tcp ?timeout ~host ~port () =
      raise exn);
   of_fd ?timeout fd
 
-let request t frame =
+let transport f =
+  match f () with
+  | result -> result
+  | exception Unix.Unix_error (code, _, _) -> Error (Unix.error_message code)
+  | exception (Sys_error message | Failure message) -> Error message
+  | exception End_of_file -> Error "connection closed by server"
+  | exception Wire.Frame_too_big -> Error "oversized response frame"
+
+let send t frame =
   if t.closed then Error "client is closed"
-  else
-    match
-      Wire.send t.fd (Protocol.print_request frame);
-      Protocol.input_response t.reader
-    with
-    | Ok (Some response) -> Ok response
-    | Ok None -> Error "connection closed by server"
-    | Error e -> Error e
-    | exception Unix.Unix_error (code, _, _) -> Error (Unix.error_message code)
-    | exception (Sys_error message | Failure message) -> Error message
-    | exception End_of_file -> Error "connection closed by server"
-    | exception Wire.Frame_too_big -> Error "oversized response frame"
+  else transport (fun () -> Ok (Wire.send t.fd (Protocol.print_request frame)))
+
+let receive t =
+  transport (fun () ->
+      match Protocol.input_response t.reader with
+      | Ok (Some response) -> Ok response
+      | Ok None -> Error "connection closed by server"
+      | Error e -> Error e)
+
+let request t frame = Result.bind (send t frame) (fun () -> receive t)
+
+(* EINVAL: a descriptor at or past FD_SETSIZE, which select cannot watch. *)
+let wait ~timeout conns =
+  let now = Rip_numerics.Cpu_clock.monotonic_seconds in
+  let deadline = now () +. timeout in
+  let rec go () =
+    let fds = List.map (fun c -> c.fd) conns in
+    match Unix.select fds [] [] (Float.max 0.0 (deadline -. now ())) with
+    | readable, _, _ -> List.filter (fun c -> List.mem c.fd readable) conns
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error (Unix.EINVAL, _, _) -> conns
+  in
+  go ()
 
 (* domain-escape waiver: a [t] is owned by exactly one thread at a time
    — loadgen workers each dial their own connection, and the pool hands
@@ -81,8 +100,9 @@ let close t =
    to [size] idle connections and dials on demand when all are checked
    out — the steady state is [<= size] sockets, but a burst never blocks
    on pool capacity (the overflow connection is simply closed on return
-   instead of kept).  A connection that saw a transport error is
-   discarded, never re-pooled: its framing may be mid-frame. *)
+   instead of kept).  A connection that saw a transport error, or that
+   still owes an answer nobody will read, is discarded, never
+   re-pooled: its framing may be mid-frame. *)
 
 module Pool = struct
   type conn = t
@@ -90,46 +110,30 @@ module Pool = struct
   type nonrec t = {
     connect : unit -> conn;
     size : int;
-    timeout : float option;
     mutex : Mutex.t;
     mutable free : conn list;
     mutable closed : bool;
   }
 
-  let create ?timeout ~size connect =
+  let create ~size connect =
     if size < 1 then invalid_arg "Client.Pool.create: size must be >= 1";
-    {
-      connect;
-      size;
-      timeout;
-      mutex = Mutex.create ();
-      free = [];
-      closed = false;
-    }
+    { connect; size; mutex = Mutex.create (); free = []; closed = false }
 
   let checkout p =
     Mutex.lock p.mutex;
     let pooled =
-      if p.closed then Error "pool is closed"
-      else
-        match p.free with
-        | conn :: rest ->
-            p.free <- rest;
-            Ok (Some conn)
-        | [] -> Ok None
+      match p.free with
+      | _ when p.closed -> Error "pool is closed"
+      | conn :: rest ->
+          p.free <- rest;
+          Ok (Some conn)
+      | [] -> Ok None
     in
     Mutex.unlock p.mutex;
     match pooled with
-    | Error _ as e -> e
+    | Ok None -> transport (fun () -> Ok (p.connect ()))
     | Ok (Some conn) -> Ok conn
-    | Ok None -> (
-        match p.connect () with
-        | conn ->
-            Option.iter (set_timeout conn.fd) p.timeout;
-            Ok conn
-        | exception Unix.Unix_error (code, _, _) ->
-            Error (Unix.error_message code)
-        | exception (Sys_error message | Failure message) -> Error message)
+    | Error _ as e -> e
 
   let checkin p (conn : conn) =
     Mutex.lock p.mutex;
@@ -140,18 +144,16 @@ module Pool = struct
     Mutex.unlock p.mutex;
     if not keep then close conn
 
+  let discard (_ : t) conn = close conn
+
   let request p frame =
-    match checkout p with
-    | Error _ as e -> e
-    | Ok conn -> (
+    Result.bind (checkout p) (fun conn ->
         match request conn frame with
         | Ok _ as ok ->
             checkin p conn;
             ok
         | Error _ as e ->
-            (* Transport trouble poisons the connection; drop it so the
-               next checkout dials fresh. *)
-            close conn;
+            discard p conn;
             e)
 
   let release p ~closed =
@@ -238,15 +240,12 @@ let classify = function
 let attempt_once s frame =
   match s.conn with
   | Some conn -> request conn frame
-  | None -> (
-      match s.connect () with
-      | conn ->
+  | None ->
+      transport (fun () ->
+          let conn = s.connect () in
           Option.iter (set_timeout conn.fd) s.policy.attempt_timeout;
           s.conn <- Some conn;
-          request conn frame
-      | exception Unix.Unix_error (code, _, _) ->
-          Error (Unix.error_message code)
-      | exception (Sys_error message | Failure message) -> Error message)
+          request conn frame)
 [@@lint.allow "domain-escape"]
 
 let request_with_retry s frame =

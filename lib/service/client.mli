@@ -26,11 +26,26 @@ val connect_tcp : ?timeout:float -> host:string -> port:int -> unit -> t
     connect itself. *)
 
 val request : t -> Protocol.request -> (Protocol.response, string) result
-(** Send one request and read its response.  Writes are EINTR-safe and
-    complete ({!Wire.write_all}) — a frame is never half-sent because a
-    signal landed.  [Error] carries a transport or framing diagnostic
-    (connection reset, truncated frame, timeout, garbage); the
-    connection should be abandoned after an [Error]. *)
+(** Send one request and read its response: {!send} then {!receive}.
+    Writes are EINTR-safe and complete ({!Wire.write_all}) — a frame is
+    never half-sent because a signal landed.  [Error] carries a
+    transport or framing diagnostic (connection reset, truncated frame,
+    timeout, garbage); the connection should be abandoned after an
+    [Error]. *)
+
+val send : t -> Protocol.request -> (unit, string) result
+(** The first half of {!request}: write the frame, read nothing. *)
+
+val receive : t -> (Protocol.response, string) result
+(** The second half of {!request}: read one response, blocking up to the
+    socket timeout. *)
+
+val wait : timeout:float -> t list -> t list
+(** The connections with bytes to read (an answer or a hang-up), after
+    waiting up to [timeout] seconds for the first; [[]] when none became
+    ready.  A descriptor [select] cannot watch (at or past FD_SETSIZE)
+    reports every connection ready, so the caller's {!receive} blocks,
+    bounded by the socket timeout, instead of failing. *)
 
 val close : t -> unit
 (** Idempotent. *)
@@ -40,25 +55,36 @@ val close : t -> unit
     What a router keeps per shard: up to [size] idle connections, dialed
     on demand, shared by any number of threads.  A burst beyond [size]
     dials extra connections rather than queueing (they are closed on
-    return instead of pooled), and a connection that reported a
-    transport error is discarded, never re-pooled. *)
+    return instead of pooled).  One checkout carries one round trip: a
+    connection that reported a transport error, or whose answer was
+    never read (the losing leg of a hedged forward), is discarded,
+    never re-pooled. *)
 
 module Pool : sig
   type conn = t
   type t
 
-  val create : ?timeout:float -> size:int -> (unit -> conn) -> t
+  val create : size:int -> (unit -> conn) -> t
   (** [create ~size connect] pools connections produced by [connect]
       (which may raise; dial failures surface as [Error] from
-      {!request}).  [timeout] arms each pooled connection's socket
-      timeouts.
+      {!checkout}).
       @raise Invalid_argument when [size < 1]. *)
 
+  val checkout : t -> (conn, string) result
+  (** A pooled idle connection, or a freshly dialed one; [Error] on a
+      dial failure or a closed pool.  The caller runs one round trip on
+      it, then hands it to {!checkin} or {!discard}. *)
+
+  val checkin : t -> conn -> unit
+  (** After a completed round trip: pooled, or closed when the pool is
+      full or closed. *)
+
+  val discard : t -> conn -> unit
+  (** Close a checked-out connection instead of pooling it. *)
+
   val request : t -> Protocol.request -> (Protocol.response, string) result
-  (** Check a connection out (pooled or freshly dialed), run one
-      round trip, check it back in on success.  [Error] carries the
-      dial or transport diagnostic; the failed connection is closed,
-      not re-pooled. *)
+  (** {!checkout}, one {!request} round trip, then {!checkin} on
+      success or {!discard} on [Error]. *)
 
   val drain : t -> unit
   (** Close every idle connection; the pool stays open and dials afresh.

@@ -1,6 +1,7 @@
 (* Tests for the rip_obs observability layer: the shared quantile
    convention, histogram exactness and concurrency, the Prometheus
-   render/parse round trip, trace spans, and the solver probe hooks. *)
+   render/parse round trip, trace spans, the daemons' sink paths, and the
+   solver probe hooks. *)
 
 module Stats = Rip_numerics.Stats
 module Obs = Rip_obs.Metrics
@@ -649,6 +650,42 @@ let test_solver_probes () =
     "phases include refine" true
     (List.mem "refine" !phases)
 
+(* --- Sink paths ----------------------------------------------------------- *)
+
+(* The daemons' --trace-out/--wide-events convention: a PATH ending in
+   '/' or naming an existing directory gets the default file name
+   inside it; any other PATH is the file.  Missing parents are made. *)
+let test_sink_path () =
+  let root =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rip_sink_%d" (Unix.getpid ()))
+  in
+  let sink = Rip_obs.Sink.path ~default_name:"trace-s0.json" in
+  let under parts = List.fold_left Filename.concat root parts in
+  let is_dir path = Sys.file_exists path && Sys.is_directory path in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun dir -> try Unix.rmdir dir with Unix.Unix_error _ -> ())
+        [ under [ "new" ]; under [ "a"; "b" ]; under [ "a" ]; root ])
+    (fun () ->
+      Alcotest.(check string)
+        "trailing '/' names a directory"
+        (under [ "new"; "trace-s0.json" ])
+        (sink (under [ "new" ] ^ "/"));
+      Alcotest.(check bool) "and makes it" true (is_dir (under [ "new" ]));
+      Alcotest.(check string)
+        "an existing directory" (under [ "new"; "trace-s0.json" ])
+        (sink (under [ "new" ]));
+      Alcotest.(check string)
+        "a file path is the file" (under [ "a"; "b"; "t.json" ])
+        (sink (under [ "a"; "b"; "t.json" ]));
+      Alcotest.(check bool) "its missing parents are made" true
+        (is_dir (under [ "a"; "b" ]));
+      Alcotest.(check bool) "but not the file" false
+        (Sys.file_exists (under [ "a"; "b"; "t.json" ])))
+
 let suite =
   [
     ( "obs.quantile",
@@ -699,6 +736,10 @@ let suite =
           test_wide_event_spool;
         Alcotest.test_case "spool rotation bounds disk" `Quick
           test_wide_event_spool_rotation;
+      ] );
+    ( "obs.sink",
+      [
+        Alcotest.test_case "directory and file paths" `Quick test_sink_path;
       ] );
     ( "obs.exposition",
       [

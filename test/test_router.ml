@@ -524,6 +524,220 @@ let test_router_hung_shard_detected () =
       Alcotest.(check int) "the healthy shard stays up" 1
         (Helpers.series body "rip_router_shard_s0_up"))
 
+(* --- Hedged forwards ------------------------------------------------------ *)
+
+(* What a scripted stub shard does with one SOLVE. *)
+type behaviour = Answer_after of float | Hang_up
+
+(* A stub shard that answers the router's polls and treats the [n]th
+   SOLVE it reads (from 0, over all its connections) as [script n]
+   says: [answer] after a delay, or a hang-up with no answer. *)
+let scripted_shard ~id ~answer script socket =
+  let solves = Atomic.make 0 in
+  let serve fd =
+    let reader = Rip_service.Wire.reader (Rip_service.Wire.create fd) in
+    let reply response =
+      Rip_service.Wire.send fd (Protocol.print_response response)
+    in
+    let rec loop () =
+      match Protocol.input_request reader with
+      | Ok (Some Protocol.Metrics) ->
+          reply (Protocol.Metrics_frame "");
+          loop ()
+      | Ok (Some Protocol.Health) ->
+          reply
+            (Protocol.Health_frame
+               {
+                 health_shard_id = id;
+                 health_in_flight = 0;
+                 health_queue_depth = 64;
+                 health_high_water = 48;
+               });
+          loop ()
+      | Ok (Some _) -> (
+          match script (Atomic.fetch_and_add solves 1) with
+          | Answer_after seconds ->
+              Thread.delay seconds;
+              reply answer;
+              loop ()
+          | Hang_up -> ())
+      | Ok None | Error _ -> ()
+    in
+    (try loop () with Unix.Unix_error _ | Sys_error _ -> ());
+    Unix.close fd
+  in
+  serve_tracked serve socket
+
+(* The stubs' answers differ in total width, which names the source. *)
+let stub_answer width =
+  Protocol.Result
+    {
+      served = Protocol.Fresh;
+      solution =
+        { repeaters = []; total_width = width; delay = 0.0; power_watts = 0.0 };
+    }
+
+let answered_by = function
+  | Ok (Protocol.Result { solution = { total_width = 0.0; _ }; _ }) -> "s0"
+  | Ok (Protocol.Result { solution = { total_width = 1.0; _ }; _ }) -> "s1"
+  | Ok other -> Protocol.print_response other
+  | Error e -> "transport error: " ^ e
+
+(* A router with hedge delay floor [floor] over stubs s0 and s1, running
+   [s0] and [s1] as their scripts.  [f] gets [solve], which sends one
+   SOLVE keyed to s0 (so s1 is its failover and hedge target) and returns
+   the answer with its round-trip seconds, [series] over the router's
+   METRICS and [events], the wide events spooled so far. *)
+let with_hedge_cluster ~floor ~s0 ~s1 f =
+  (* Writes to a dropped connection fail with EPIPE, as in rip_routerd. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock name = sock_path ("hedge-" ^ name) in
+  let stop_s0 = scripted_shard ~id:"s0" ~answer:(stub_answer 0.0) s0 (sock "s0")
+  and stop_s1 =
+    scripted_shard ~id:"s1" ~answer:(stub_answer 1.0) s1 (sock "s1")
+  in
+  let shards = [ spec "s0" (sock "s0"); spec "s1" (sock "s1") ] in
+  let spool_path = Filename.temp_file "rip-hedge" ".jsonl" in
+  let spool =
+    Rip_obs.Wide_event.create ~sampler:Rip_obs.Wide_event.keep_all spool_path
+  in
+  let stop_router =
+    start_router
+      ~config:
+        { Router.default_config with hedge_delay_floor = floor; spool = Some spool }
+      ~socket:(sock "router") shards
+  in
+  let ring = Ring.create (List.map (fun s -> (s.Router.id, 1)) shards) in
+  let rec owned_by_s0 length =
+    let net = uniform_net ~name:"hedge" length in
+    if Ring.lookup ring (Rip_net.Net.canonical_digest net) = Some "s0" then net
+    else owned_by_s0 (length +. 250.0)
+  in
+  let request = solve_request (owned_by_s0 3000.0) in
+  let client = Client.connect_unix (sock "router") in
+  let solve () =
+    let asked = Unix.gettimeofday () in
+    let answer = Client.request client request in
+    (answer, Unix.gettimeofday () -. asked)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close client;
+      stop_router ();
+      stop_s0 ();
+      stop_s1 ();
+      Rip_obs.Wide_event.close spool;
+      List.iter
+        (fun path -> try Sys.remove path with Sys_error _ -> ())
+        [ spool_path; sock "s0"; sock "s1" ])
+    (fun () ->
+      f ~solve
+        ~series:(fun name -> Helpers.series (fetch_metrics client) name)
+        ~events:(fun () -> Rip_obs.Wide_event.load_file spool_path))
+
+let check_event ~shard ~hedged ~hedge_won ~failover
+    (e : Rip_obs.Wide_event.t) =
+  Alcotest.(check string) "wide event: serving shard" shard e.shard;
+  Alcotest.(check bool) "wide event: hedged" hedged e.hedged;
+  Alcotest.(check bool) "wide event: hedge_won" hedge_won e.hedge_won;
+  Alcotest.(check bool) "wide event: failover" failover e.failover
+
+let check_hedges ~series ~hedges ~wins =
+  Alcotest.(check int) "hedges" hedges (series "rip_router_hedges_total");
+  Alcotest.(check int) "hedge wins" wins (series "rip_router_hedge_wins_total")
+
+(* The primary stalls past the hedge delay; the hedge fires, the fast
+   secondary answers first and is served. *)
+let test_hedge_wins () =
+  with_hedge_cluster ~floor:0.1
+    ~s0:(fun _ -> Answer_after 1.0)
+    ~s1:(fun _ -> Answer_after 0.0)
+    (fun ~solve ~series ~events ->
+      let answer, took = solve () in
+      Alcotest.(check string) "answered by" "s1" (answered_by answer);
+      if took > 0.8 then Alcotest.failf "served after %.2f s" took;
+      check_hedges ~series ~hedges:1 ~wins:1;
+      match events () with
+      | [ e ] -> check_event ~shard:"s1" ~hedged:true ~hedge_won:true ~failover:false e
+      | es -> Alcotest.failf "%d wide events, expected 1" (List.length es))
+
+(* The hedge fires, then the primary answers well before the stalled
+   secondary: the primary's answer is served at once, without waiting
+   for the secondary. *)
+let test_hedge_primary_first () =
+  with_hedge_cluster ~floor:0.1
+    ~s0:(fun _ -> Answer_after 0.25)
+    ~s1:(fun _ -> Answer_after 3.0)
+    (fun ~solve ~series ~events ->
+      let answer, took = solve () in
+      Alcotest.(check string) "answered by" "s0" (answered_by answer);
+      if took > 1.0 then
+        Alcotest.failf "served after %.2f s: waited for the hedge" took;
+      check_hedges ~series ~hedges:1 ~wins:0;
+      match events () with
+      | [ e ] -> check_event ~shard:"s0" ~hedged:true ~hedge_won:false ~failover:false e
+      | es -> Alcotest.failf "%d wide events, expected 1" (List.length es))
+
+(* The primary hangs up before the hedge delay: a failover, no hedge. *)
+let test_hedge_primary_hangs_up () =
+  with_hedge_cluster ~floor:1.0
+    ~s0:(fun _ -> Hang_up)
+    ~s1:(fun _ -> Answer_after 0.0)
+    (fun ~solve ~series ~events ->
+      let answer, _ = solve () in
+      Alcotest.(check string) "answered by" "s1" (answered_by answer);
+      check_hedges ~series ~hedges:0 ~wins:0;
+      Alcotest.(check int) "the primary's forward failed" 1
+        (series "rip_router_shard_s0_failovers_total");
+      match events () with
+      | [ e ] -> check_event ~shard:"s1" ~hedged:false ~hedge_won:false ~failover:true e
+      | es -> Alcotest.failf "%d wide events, expected 1" (List.length es))
+
+(* Both candidates hang up: the router answers DEGRADED (worker lost)
+   itself. *)
+let test_hedge_both_hang_up () =
+  with_hedge_cluster ~floor:1.0
+    ~s0:(fun _ -> Hang_up)
+    ~s1:(fun _ -> Hang_up)
+    (fun ~solve ~series ~events ->
+      (match solve () with
+      | Ok (Protocol.Degraded { reason = Protocol.Worker_lost; _ }), _ -> ()
+      | answer, _ ->
+          Alcotest.failf "expected DEGRADED worker-lost, got %s"
+            (answered_by answer));
+      check_hedges ~series ~hedges:0 ~wins:0;
+      Alcotest.(check int) "a local DEGRADED answer" 1
+        (series "rip_router_degraded_total");
+      match events () with
+      | [ e ] ->
+          Alcotest.(check string) "wide event: outcome" "degraded" e.outcome;
+          Alcotest.(check string)
+            "wide event: degrade reason" "worker-lost" e.degrade_reason;
+          check_event ~shard:"s1" ~hedged:false ~hedge_won:false ~failover:true e
+      | es -> Alcotest.failf "%d wide events, expected 1" (List.length es))
+
+(* The hedge's loser is dropped, not pooled: the next forward to the
+   same shard gets its own answer at once, not the stale one the dropped
+   connection still owes. *)
+let test_hedge_loser_not_pooled () =
+  with_hedge_cluster ~floor:0.1
+    ~s0:(function 0 -> Answer_after 1.0 | _ -> Answer_after 0.0)
+    ~s1:(fun _ -> Answer_after 0.0)
+    (fun ~solve ~series ~events ->
+      let first, _ = solve () in
+      Alcotest.(check string) "first answered by the hedge" "s1"
+        (answered_by first);
+      let second, took = solve () in
+      Alcotest.(check string) "second answered by the primary" "s0"
+        (answered_by second);
+      if took > 0.8 then Alcotest.failf "second served after %.2f s" took;
+      check_hedges ~series ~hedges:1 ~wins:1;
+      Alcotest.(check int) "the primary answered once" 1
+        (series "rip_router_shard_s0_forwarded_total");
+      match events () with
+      | [ _; e ] -> check_event ~shard:"s0" ~hedged:false ~hedge_won:false ~failover:false e
+      | es -> Alcotest.failf "%d wide events, expected 2" (List.length es))
+
 let suite =
   [
     ( "router.ring",
@@ -550,6 +764,16 @@ let suite =
           test_router_dead_primary_fails_over;
         Alcotest.test_case "hung shard marked down within the poll window"
           `Quick test_router_hung_shard_detected;
+        Alcotest.test_case "hedge fires and wins on a stalled primary" `Quick
+          test_hedge_wins;
+        Alcotest.test_case "primary answering after the hedge is served first"
+          `Quick test_hedge_primary_first;
+        Alcotest.test_case "primary hang-up fails over without a hedge" `Quick
+          test_hedge_primary_hangs_up;
+        Alcotest.test_case "both candidates hang up: DEGRADED worker-lost"
+          `Quick test_hedge_both_hang_up;
+        Alcotest.test_case "a dropped hedge loser leaves the pool usable"
+          `Quick test_hedge_loser_not_pooled;
       ] );
     ( "router.trace",
       [

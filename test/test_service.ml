@@ -1,6 +1,6 @@
 (* The service subsystem: wire protocol round trips, solve-cache LRU
-   semantics and key canonicalization, and an end-to-end in-process
-   server over a socketpair. *)
+   semantics and key canonicalization, the client's readiness wait, and
+   an end-to-end in-process server over a socketpair. *)
 
 module Protocol = Rip_service.Protocol
 module Trace = Rip_obs.Trace
@@ -680,6 +680,46 @@ let test_server_rejects_garbage () =
   Unix.close client_fd;
   Server.shutdown server
 
+(* --- Client readiness wait ---------------------------------------------- *)
+
+let test_client_wait () =
+  let near, far = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Client.of_fd near in
+  Alcotest.(check int) "nothing to read yet" 0
+    (List.length (Client.wait ~timeout:0.05 [ conn ]));
+  Rip_service.Wire.send far (Protocol.print_response Protocol.Pong);
+  Alcotest.(check int) "the answer is ready" 1
+    (List.length (Client.wait ~timeout:5.0 [ conn ]));
+  (match Client.receive conn with
+  | Ok Protocol.Pong -> ()
+  | _ -> Alcotest.fail "expected PONG");
+  Unix.close far;
+  Alcotest.(check int) "a hang-up is ready too" 1
+    (List.length (Client.wait ~timeout:5.0 [ conn ]));
+  Client.close conn
+
+(* select cannot watch a descriptor at or past FD_SETSIZE (1024): the
+   wait reports it ready at once, so the caller's receive blocks instead
+   of the request failing. *)
+let test_client_wait_past_fd_setsize () =
+  let near, far = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* A file_descr is its int descriptor number on Unix. *)
+  let high : Unix.file_descr = Obj.magic 1500 in
+  Unix.dup2 ~cloexec:true near high;
+  Unix.close near;
+  let conn = Client.of_fd high in
+  let asked = Unix.gettimeofday () in
+  Alcotest.(check int) "reported ready" 1
+    (List.length (Client.wait ~timeout:5.0 [ conn ]));
+  Alcotest.(check bool) "without waiting out the timeout" true
+    (Unix.gettimeofday () -. asked < 1.0);
+  Rip_service.Wire.send far (Protocol.print_response Protocol.Pong);
+  (match Client.receive conn with
+  | Ok Protocol.Pong -> ()
+  | _ -> Alcotest.fail "expected PONG");
+  Client.close conn;
+  Unix.close far
+
 let suite =
   [
     ( "service.protocol",
@@ -694,6 +734,13 @@ let suite =
         QCheck_alcotest.to_alcotest fuzz_trace_header;
         Alcotest.test_case "cached body identical" `Quick
           test_protocol_cached_body_identical;
+      ] );
+    ( "service.client",
+      [
+        Alcotest.test_case "wait reports answers and hang-ups" `Quick
+          test_client_wait;
+        Alcotest.test_case "wait past FD_SETSIZE reports ready" `Quick
+          test_client_wait_past_fd_setsize;
       ] );
     ( "service.cache",
       [
